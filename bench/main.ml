@@ -64,17 +64,6 @@ let usage () =
 
 let micro () =
   let open Bechamel in
-  let heap_bench =
-    Test.make ~name:"heap push/pop x1000"
-      (Staged.stage (fun () ->
-           let h = Su_util.Heap.create ~cmp:compare in
-           for i = 0 to 999 do
-             Su_util.Heap.push h ((i * 7919) mod 1000)
-           done;
-           while not (Su_util.Heap.is_empty h) do
-             ignore (Su_util.Heap.pop h)
-           done))
-  in
   let engine_bench =
     Test.make ~name:"engine 1000 events"
       (Staged.stage (fun () ->
@@ -111,7 +100,7 @@ let micro () =
   in
   let tests =
     Test.make_grouped ~name:"core"
-      [ heap_bench; engine_bench; proc_bench; seek_bench; rng_bench ]
+      [ engine_bench; proc_bench; seek_bench; rng_bench ]
   in
   let benchmark () =
     let instances = Toolkit.Instance.[ monotonic_clock ] in
@@ -389,13 +378,7 @@ let run_hotpaths ~quick ~jobs ~json_path ~min_driver_eps =
 module Explorer = Su_check.Explorer
 module Delta = Su_check.Delta
 
-let crashsweep_cfg =
-  {
-    (Su_fs.Fs.config ~scheme:Su_fs.Fs.Soft_updates ()) with
-    Su_fs.Fs.geom = Su_fstypes.Geom.v ~mb:32 ~cg_mb:16 ~inodes_per_cg:1024 ();
-    cache_mb = 4;
-    journal_mb = 2;
-  }
+let crashsweep_cfg = Su_check.Campaign.compact_cfg Su_fs.Fs.Soft_updates
 
 (* The pre-delta materialization: advance a private base incrementally,
    then take a full deep-copy snapshot per state (plus the torn-prefix

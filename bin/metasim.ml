@@ -1,12 +1,16 @@
 (* metasim: command-line front end to the simulator.
 
    Subcommands:
-     run        — run one benchmark under one scheme and print measurements
-     crash      — run a workload, crash at a given time, fsck the image
-     crashsweep — re-crash a workload at EVERY write boundary (and torn
-                  mid-write states) and verify recovery per scheme
-     trace      — run a small workload and dump the I/O trace
-     exp        — run one named experiment (figure/table) at chosen scale *)
+     run          — run one benchmark under one scheme and print measurements
+     crash        — run a workload, crash at a given time, fsck the image
+     crashsweep   — re-crash a workload at EVERY write boundary (and torn
+                    mid-write states) and verify recovery per scheme
+     faultsweep   — a permanent bad sector at every touched fragment
+     corruptsweep — every silent-fault class on every touched sector
+     fuzz         — crash-sweep seeded random workloads, shrink failures
+     trace        — run a small workload and dump the I/O trace
+     exp          — run one named experiment (figure/table) at chosen scale
+     loadgen      — open-loop multi-tenant load engine *)
 
 open Cmdliner
 open Su_fs
@@ -412,11 +416,9 @@ let crash_cmd =
     if do_repair then begin
       let image = Su_disk.Disk.image_snapshot w.Fs.disk in
       Fs.recover_image cfg image;
-      let check_exposure =
-        match cfg.Fs.scheme with Fs.Journaled _ -> false | _ -> cfg.Fs.alloc_init
-      in
       let { Fsck.actions; final; converged; _ } =
-        Fsck.repair ~geom:cfg.Fs.geom ~image ~check_exposure ()
+        Fsck.repair ~geom:cfg.Fs.geom ~image
+          ~check_exposure:(Su_check.Campaign.check_exposure cfg) ()
       in
       Printf.printf "\n# repair\n";
       List.iter (fun a -> Format.printf "  %a@." Fsck.pp_repair_action a) actions;
@@ -430,16 +432,59 @@ let crash_cmd =
     (Cmd.info "crash" ~doc:"Crash a workload mid-flight, fsck and optionally repair.")
     Term.(const run $ scheme_arg $ seed_arg $ time_arg $ alloc_init_arg $ repair_arg)
 
-let crashsweep_cmd =
-  let schemes_arg =
-    Arg.(
-      value
-      & opt (some (list scheme_conv)) None
-      & info [ "schemes" ]
-          ~doc:
-            "Comma-separated schemes to sweep (default: the paper's five \
-             plus journaled).")
-  in
+(* --- campaigns: crashsweep, faultsweep, corruptsweep, fuzz ---------------
+
+   One set of flags and one scheme x workload loop. Each campaign
+   supplies a column list; the loop renders it both as the text table
+   and as the JSON rows, so the two reports cannot drift apart. *)
+
+module Campaign = Su_check.Campaign
+module Explorer = Su_check.Explorer
+module Faultsweep = Su_check.Faultsweep
+module Corruptsweep = Su_check.Corruptsweep
+
+let jobs_arg =
+  Arg.(
+    value
+    & opt (nonneg_conv "jobs") 1
+    & info [ "j"; "jobs" ] ~docv:"N"
+        ~doc:
+          "Worker domains (default 1 = serial; 0 = one per core, \
+           Domain.recommended_domain_count). Output is byte-identical at \
+           any value.")
+
+let schemes_arg =
+  Arg.(
+    value
+    & opt (some (list scheme_conv)) None
+    & info [ "schemes" ]
+        ~doc:
+          "Comma-separated schemes to run (default: the paper's five plus \
+           journaled).")
+
+let fail_fast_arg =
+  Arg.(
+    value & flag
+    & info [ "fail-fast" ]
+        ~doc:"Stop at the first row that misses its verdict.")
+
+let cap_arg name ~doc =
+  Arg.(
+    value & opt (some (nonneg_conv name)) None & info [ name ] ~docv:"N" ~doc)
+
+let schemes_or_default =
+  Option.value
+    ~default:(Fs.all_schemes @ [ Fs.Journaled { group_commit = false } ])
+
+type sweep_opts = {
+  schemes : Fs.scheme_kind list;
+  workloads : string list;
+  jobs : int;
+  json : string option;
+  fail_fast : bool;
+}
+
+let sweep_opts =
   let workloads_arg =
     Arg.(
       value
@@ -449,6 +494,128 @@ let crashsweep_cmd =
             "Comma-separated built-in workloads: smallfiles, dirtree, \
              renamefile, renamedir.")
   in
+  let json_arg =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "json" ] ~docv:"PATH"
+          ~doc:
+            "Also write the sweep summaries (one object per scheme x \
+             workload row, with the verdict) as JSON to $(docv).")
+  in
+  let make schemes workloads jobs json fail_fast =
+    { schemes = schemes_or_default schemes; workloads; jobs; json; fail_fast }
+  in
+  Term.(
+    const make $ schemes_arg $ workloads_arg $ jobs_arg $ json_arg
+    $ fail_fast_arg)
+
+let resolve_workloads ~name find names =
+  let found =
+    List.filter_map
+      (fun n ->
+        let w = find n in
+        if w = None then Printf.eprintf "unknown workload %S (skipped)\n" n;
+        w)
+      names
+  in
+  if found = [] then begin
+    prerr_endline (name ^ ": no valid workloads left to sweep");
+    exit 2
+  end;
+  found
+
+(* A report column: its text-table header and its JSON key (either
+   may be absent), and its cell. *)
+type 'r column = {
+  head : string option;
+  key : string option;
+  cell : 'r -> Su_obs.Json.t;
+}
+
+let col ?head ?key cell = { head; key; cell }
+let int_col head key f = col ~head ~key (fun r -> Su_obs.Json.Int (f r))
+let str_col head key f = col ~head ~key (fun r -> Su_obs.Json.Str (f r))
+
+let scheme_col f =
+  str_col "scheme" "scheme" (fun r -> Fs.scheme_kind_name (f r))
+
+(* Run [run scheme item] for every scheme x item, print the table and
+   write the JSON document (each row closed by its "ok"); exit 1 if a
+   row is not [ok], stopping at the first one with [fail_fast]. *)
+let campaign ~name ~title ~columns ?(json_head = []) ?failure ~ok ~fail_fast
+    ?json schemes items run =
+  let open Su_obs.Json in
+  let text = function
+    | Int n -> Su_util.Text_table.cell_i n
+    | Str s -> s
+    | j -> to_string j
+  in
+  let table =
+    Su_util.Text_table.create ~title
+      ~headers:(List.filter_map (fun c -> c.head) columns)
+  in
+  let rows = ref [] and failed = ref false in
+  (try
+     List.iter
+       (fun scheme ->
+         List.iter
+           (fun item ->
+             let r = run scheme item in
+             rows := r :: !rows;
+             Su_util.Text_table.add_row table
+               (List.filter_map
+                  (fun c -> Option.map (fun _ -> text (c.cell r)) c.head)
+                  columns);
+             if not (ok r) then begin
+               failed := true;
+               if fail_fast then raise Exit
+             end)
+           items)
+       schemes
+   with Exit -> ());
+  Su_util.Text_table.print table;
+  let row r =
+    Obj
+      (List.filter_map
+         (fun c -> Option.map (fun k -> (k, c.cell r)) c.key)
+         columns
+      @ [ ("ok", Bool (ok r)) ])
+  in
+  Option.iter
+    (fun path ->
+      write_json_file path
+        (Obj
+           ((("campaign", Str name) :: json_head)
+           @ [
+               ("ok", Bool (not !failed));
+               ("sweeps", List (List.rev_map row !rows));
+             ])))
+    json;
+  if !failed then begin
+    prerr_endline
+      (match failure with
+       | Some msg -> msg
+       | None ->
+         Printf.sprintf "%s: violation found (%s)" name
+           (if fail_fast then "stopped early; * marks the failing row"
+            else "* marks failing rows"));
+    exit 1
+  end
+
+(* One stderr line per failing verdict of an injection campaign. *)
+let report_verdict ~scheme ~workload what outcome j extra =
+  Printf.eprintf
+    "  %s/%s %s: %s%s (pre %d, converged %b, post %d, remount %b%s)\n"
+    (Fs.scheme_kind_name scheme) workload what
+    (Campaign.outcome_name outcome)
+    (match outcome with
+     | Campaign.Failed_typed m | Campaign.Escaped m -> " [" ^ m ^ "]"
+     | Campaign.Completed -> "")
+    j.Campaign.pre_violations j.Campaign.repair_converged
+    j.Campaign.post_violations j.Campaign.remount_ok extra
+
+let crashsweep_cmd =
   let no_torn_arg =
     Arg.(
       value & flag
@@ -465,26 +632,15 @@ let crashsweep_cmd =
   in
   let fault_rate_arg =
     Arg.(
-      value & opt float 0.1
-      & info [ "fault-rate" ] ~doc:"Transient failure probability per request.")
-  in
-  let jobs_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "j"; "jobs" ]
-          ~doc:
-            "Worker domains for per-state verification (default 1 = serial; \
-             0 = one per core, Domain.recommended_domain_count). Verdicts \
-             and output are byte-identical at any value.")
+      value & opt rate_conv 0.1
+      & info [ "fault-rate" ] ~docv:"R"
+          ~doc:"Transient failure probability per request, in [0, 1].")
   in
   let max_boundaries_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "max-boundaries" ]
-          ~doc:
-            "Cap the write boundaries explored per sweep (smoke runs; \
-             default: all).")
+    cap_arg "max-boundaries"
+      ~doc:
+        "Cap the write boundaries explored per sweep (smoke runs; default: \
+         all)."
   in
   let nested_arg =
     Arg.(
@@ -495,12 +651,6 @@ let crashsweep_cmd =
              boundaries, for every outer crash state, and require recovery \
              to be re-entrant: each nested state must settle in one round \
              and reach the write-free fixed point by the second.")
-  in
-  let fail_fast_arg =
-    Arg.(
-      value & flag
-      & info [ "fail-fast" ]
-          ~doc:"Stop at the first sweep that misses its expected verdict.")
   in
   let demand_arg =
     Arg.(
@@ -514,204 +664,87 @@ let crashsweep_cmd =
              repairability; $(b,consistent) holds every swept scheme to \
              consistency (so sweeping no-order deliberately fails).")
   in
-  let sweep_cfg scheme =
-    (* a compact volume keeps the per-state pipeline (copy, fsck,
-       repair, remount, continue) cheap enough to run at every write
-       boundary *)
-    {
-      (Fs.config ~scheme ()) with
-      Fs.geom = Su_fstypes.Geom.v ~mb:32 ~cg_mb:16 ~inodes_per_cg:1024 ();
-      cache_mb = 4;
-      journal_mb = 2;
-    }
-  in
-  let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"PATH"
-          ~doc:
-            "Also write the sweep summaries (one object per scheme x \
-             workload row, with the verdict) as JSON to $(docv).")
-  in
-  let run schemes workload_names no_torn faults fault_rate jobs max_boundaries
-      nested fail_fast demand json_path =
-    let schemes =
-      match schemes with
-      | Some s -> s
-      | None -> Fs.all_schemes @ [ Fs.Journaled { group_commit = false } ]
-    in
+  let run opts no_torn faults fault_rate max_boundaries nested demand =
     let workloads =
-      List.filter_map
-        (fun name ->
-          match Su_check.Explorer.find_workload name with
-          | Some w -> Some w
-          | None ->
-            Printf.eprintf "unknown workload %S (skipped)\n" name;
-            None)
-        workload_names
+      resolve_workloads ~name:"crashsweep" Explorer.find_workload
+        opts.workloads
     in
-    if workloads = [] then begin
-      prerr_endline "crashsweep: no valid workloads left to sweep";
-      exit 2
-    end;
-    let table =
-      Su_util.Text_table.create
-        ~title:
-          (Printf.sprintf "crash sweep: every write boundary%s%s"
-             (if no_torn then "" else " + torn states")
-             (if nested then " + crashes during recovery" else ""))
-        ~headers:
-          ([
-             "scheme"; "workload"; "writes"; "states"; "torn"; "violated";
-             "unrepaired"; "remount-fail";
-           ]
-          @ (if nested then [ "nested"; "nested-fail" ] else [])
-          @ [ "verdict" ])
-    in
+    let open Explorer in
     (* No Order promises only repairability; every ordered scheme (and
        the journal) must come through consistent. *)
-    let failed = ref false in
-    let rows = ref [] in
-    (try
-       List.iter
-         (fun scheme ->
-           List.iter
-             (fun wl ->
-               let s =
-                 Su_check.Explorer.sweep ~torn:(not no_torn) ~jobs
-                   ?max_boundaries ~nested ~cfg:(sweep_cfg scheme) wl
-               in
-               let ok =
-                 match (demand, scheme) with
-                 | `Consistent, _ -> Su_check.Explorer.consistent s
-                 | `Default, Fs.No_order -> Su_check.Explorer.repairable s
-                 | `Default, _ -> Su_check.Explorer.consistent s
-               in
-               let verdict =
-                 if Su_check.Explorer.consistent s then "consistent"
-                 else if Su_check.Explorer.repairable s then "repairable"
-                 else "BROKEN"
-               in
-               rows := (scheme, s, verdict, ok) :: !rows;
-               Su_util.Text_table.add_row table
-                 ([
-                    Fs.scheme_kind_name scheme;
-                    s.Su_check.Explorer.s_workload;
-                    Su_util.Text_table.cell_i s.Su_check.Explorer.s_writes;
-                    Su_util.Text_table.cell_i s.Su_check.Explorer.s_states;
-                    Su_util.Text_table.cell_i s.Su_check.Explorer.s_torn_states;
-                    Su_util.Text_table.cell_i s.Su_check.Explorer.s_dirty_states;
-                    Su_util.Text_table.cell_i s.Su_check.Explorer.s_unrepaired;
-                    Su_util.Text_table.cell_i
-                      s.Su_check.Explorer.s_remount_failures;
-                  ]
-                 @ (if nested then
-                      [
-                        Su_util.Text_table.cell_i
-                          s.Su_check.Explorer.s_nested_states;
-                        Su_util.Text_table.cell_i
-                          (s.Su_check.Explorer.s_nested_unrecovered
-                          + s.Su_check.Explorer.s_nested_unsettled);
-                      ]
-                    else [])
-                 @ [ (if ok then verdict else verdict ^ " *") ]);
-               if not ok then begin
-                 failed := true;
-                 if fail_fast then raise Exit
-               end)
-             workloads)
-         schemes
-     with Exit -> ());
-    Su_util.Text_table.print table;
-    (match json_path with
-     | None -> ()
-     | Some path ->
-       let open Su_obs.Json in
-       let sweep_json (scheme, s, verdict, ok) =
-         Obj
-           [
-             ("scheme", Str (Fs.scheme_kind_name scheme));
-             ("workload", Str s.Su_check.Explorer.s_workload);
-             ("writes", Int s.Su_check.Explorer.s_writes);
-             ("states", Int s.Su_check.Explorer.s_states);
-             ("torn_states", Int s.Su_check.Explorer.s_torn_states);
-             ("dirty_states", Int s.Su_check.Explorer.s_dirty_states);
-             ("unrepaired", Int s.Su_check.Explorer.s_unrepaired);
-             ("remount_failures", Int s.Su_check.Explorer.s_remount_failures);
-             ("nested_states", Int s.Su_check.Explorer.s_nested_states);
-             ( "nested_failures",
-               Int
-                 (s.Su_check.Explorer.s_nested_unrecovered
-                 + s.Su_check.Explorer.s_nested_unsettled) );
-             ("verdict", Str verdict);
-             ("ok", Bool ok);
-           ]
-       in
-       write_json_file path
-         (Obj
-            [
-              ("campaign", Str "crashsweep");
-              ("torn", Bool (not no_torn));
-              ("nested", Bool nested);
-              ("ok", Bool (not !failed));
-              ("sweeps", List (List.rev_map sweep_json !rows));
-            ]));
-    if !failed then begin
-      prerr_endline
-        (if fail_fast then
-           "crashsweep: violation found (stopped early; * marks the failing \
-            row)"
-         else "crashsweep: violation found (* marks failing rows)");
-      exit 1
-    end;
-    if faults then begin
-      let table =
-        Su_util.Text_table.create
-          ~title:
-            (Printf.sprintf
-               "transient-fault shakedown (rate %.3f per request)" fault_rate)
-          ~headers:
-            [
-              "scheme"; "workload"; "injected"; "retries"; "failures";
-              "cache-fail"; "verdict";
-            ]
-      in
-      List.iter
-        (fun scheme ->
-          List.iter
-            (fun wl ->
-              let cfg =
-                {
-                  (sweep_cfg scheme) with
-                  Fs.fault =
-                    Su_disk.Fault.transient ~seed:97 ~rate:fault_rate ();
-                }
-              in
-              let f = Su_check.Explorer.fault_shakedown ~cfg wl in
-              let verdict =
-                if
-                  f.Su_check.Explorer.f_completed
-                  && f.Su_check.Explorer.f_consistent
-                  && f.Su_check.Explorer.f_failures = 0
-                then "rode it out"
-                else "BROKEN"
-              in
-              Su_util.Text_table.add_row table
-                [
-                  Fs.scheme_kind_name scheme;
-                  wl.Su_check.Explorer.wl_name;
-                  Su_util.Text_table.cell_i f.Su_check.Explorer.f_injected;
-                  Su_util.Text_table.cell_i f.Su_check.Explorer.f_retries;
-                  Su_util.Text_table.cell_i f.Su_check.Explorer.f_failures;
-                  Su_util.Text_table.cell_i
-                    f.Su_check.Explorer.f_cache_failures;
-                  verdict;
-                ])
-            workloads)
-        schemes;
-      Su_util.Text_table.print table
-    end
+    let ok s =
+      match (demand, s.s_scheme) with
+      | `Default, Fs.No_order -> repairable s
+      | `Consistent, _ | `Default, _ -> consistent s
+    in
+    let verdict s =
+      if consistent s then "consistent"
+      else if repairable s then "repairable"
+      else "BROKEN"
+    in
+    let nested_col head key f =
+      col ?head:(if nested then Some head else None) ~key (fun s ->
+          Su_obs.Json.Int (f s))
+    in
+    campaign ~name:"crashsweep"
+      ~title:
+        (Printf.sprintf "crash sweep: every write boundary%s%s"
+           (if no_torn then "" else " + torn states")
+           (if nested then " + crashes during recovery" else ""))
+      ~columns:
+        [
+          scheme_col (fun s -> s.s_scheme);
+          str_col "workload" "workload" (fun s -> s.s_workload);
+          int_col "writes" "writes" (fun s -> s.s_writes);
+          int_col "states" "states" (fun s -> s.s_states);
+          int_col "torn" "torn_states" (fun s -> s.s_torn_states);
+          int_col "violated" "dirty_states" (fun s -> s.s_dirty_states);
+          int_col "unrepaired" "unrepaired" (fun s -> s.s_unrepaired);
+          int_col "remount-fail" "remount_failures" (fun s ->
+              s.s_remount_failures);
+          nested_col "nested" "nested_states" (fun s -> s.s_nested_states);
+          nested_col "nested-fail" "nested_failures" (fun s ->
+              s.s_nested_unrecovered + s.s_nested_unsettled);
+          col ~head:"verdict" (fun s ->
+              Su_obs.Json.Str (if ok s then verdict s else verdict s ^ " *"));
+          col ~key:"verdict" (fun s -> Su_obs.Json.Str (verdict s));
+        ]
+      ~json_head:
+        [
+          ("torn", Su_obs.Json.Bool (not no_torn));
+          ("nested", Su_obs.Json.Bool nested);
+        ]
+      ~ok ~fail_fast:opts.fail_fast ?json:opts.json opts.schemes workloads
+      (fun scheme wl ->
+        sweep ~torn:(not no_torn) ~jobs:opts.jobs ?max_boundaries ~nested
+          ~cfg:(Campaign.compact_cfg scheme) wl);
+    if faults then
+      campaign ~name:"shakedown"
+        ~title:
+          (Printf.sprintf "transient-fault shakedown (rate %.3f per request)"
+             fault_rate)
+        ~columns:
+          [
+            scheme_col (fun (scheme, _, _) -> scheme);
+            str_col "workload" "workload" (fun (_, wl, _) -> wl.wl_name);
+            int_col "injected" "injected" (fun (_, _, f) -> f.f_injected);
+            int_col "retries" "retries" (fun (_, _, f) -> f.f_retries);
+            int_col "failures" "failures" (fun (_, _, f) -> f.f_failures);
+            int_col "cache-fail" "cache_failures" (fun (_, _, f) ->
+                f.f_cache_failures);
+            str_col "verdict" "verdict" (fun (_, _, f) ->
+                if f.f_completed && f.f_consistent && f.f_failures = 0 then
+                  "rode it out"
+                else "BROKEN");
+          ]
+        ~ok:(fun _ -> true)
+        ~fail_fast:false opts.schemes workloads
+        (fun scheme wl ->
+          let cfg =
+            { (Campaign.compact_cfg scheme) with
+              Fs.fault = Su_disk.Fault.transient ~seed:97 ~rate:fault_rate () }
+          in
+          (scheme, wl, fault_shakedown ~cfg wl))
   in
   Cmd.v
     (Cmd.info "crashsweep"
@@ -721,197 +754,58 @@ let crashsweep_cmd =
           remount per scheme. Exits non-zero if any scheme misses its \
           promise (consistent; repairable for no-order).")
     Term.(
-      const run $ schemes_arg $ workloads_arg $ no_torn_arg $ faults_arg
-      $ fault_rate_arg $ jobs_arg $ max_boundaries_arg $ nested_arg
-      $ fail_fast_arg $ demand_arg $ json_arg)
+      const run $ sweep_opts $ no_torn_arg $ faults_arg $ fault_rate_arg
+      $ max_boundaries_arg $ nested_arg $ demand_arg)
 
 let faultsweep_cmd =
-  let schemes_arg =
-    Arg.(
-      value
-      & opt (some (list scheme_conv)) None
-      & info [ "schemes" ]
-          ~doc:
-            "Comma-separated schemes to sweep (default: the paper's five \
-             plus journaled).")
-  in
-  let workloads_arg =
-    Arg.(
-      value
-      & opt (list string) [ "smallfiles"; "dirtree"; "renamefile"; "renamedir" ]
-      & info [ "w"; "workloads" ]
-          ~doc:
-            "Comma-separated built-in workloads: smallfiles, dirtree, \
-             renamefile, renamedir.")
-  in
-  let jobs_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "j"; "jobs" ]
-          ~doc:
-            "Worker domains for the per-sector runs (default 1 = serial; 0 \
-             = one per core). Verdicts and output are byte-identical at any \
-             value.")
-  in
   let max_sectors_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "max-sectors" ]
-          ~doc:
-            "Cap the sectors injected per sweep (smoke runs; default: every \
-             touched sector).")
+    cap_arg "max-sectors"
+      ~doc:
+        "Cap the sectors injected per sweep (smoke runs; default: every \
+         touched sector)."
   in
-  let fail_fast_arg =
-    Arg.(
-      value & flag
-      & info [ "fail-fast" ]
-          ~doc:"Stop at the first verdict that breaks survive-or-fail-clean.")
-  in
-  let sweep_cfg scheme =
-    (* compact volume, as in crashsweep: the campaign re-runs the
-       whole workload once per touched sector *)
-    {
-      (Fs.config ~scheme ()) with
-      Fs.geom = Su_fstypes.Geom.v ~mb:32 ~cg_mb:16 ~inodes_per_cg:1024 ();
-      cache_mb = 4;
-      journal_mb = 2;
-    }
-  in
-  let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"PATH"
-          ~doc:
-            "Also write the sweep summaries (one object per scheme x \
-             workload row, with the verdict) as JSON to $(docv).")
-  in
-  let run schemes workload_names jobs spares max_sectors fail_fast json_path =
-    let schemes =
-      match schemes with
-      | Some s -> s
-      | None -> Fs.all_schemes @ [ Fs.Journaled { group_commit = false } ]
-    in
+  let run opts spares max_sectors =
     let workloads =
-      List.filter_map
-        (fun name ->
-          match Su_check.Explorer.find_workload name with
-          | Some w -> Some w
-          | None ->
-            Printf.eprintf "unknown workload %S (skipped)\n" name;
-            None)
-        workload_names
+      resolve_workloads ~name:"faultsweep" Explorer.find_workload
+        opts.workloads
     in
-    if workloads = [] then begin
-      prerr_endline "faultsweep: no valid workloads left to sweep";
-      exit 2
-    end;
-    let table =
-      Su_util.Text_table.create
-        ~title:
-          (Printf.sprintf
-             "fault sweep: a permanent bad sector at every touched fragment \
-              (%d spares)"
-             spares)
-        ~headers:
-          [
-            "scheme"; "workload"; "sectors"; "swept"; "completed"; "typed";
-            "escaped"; "remaps"; "violations"; "verdict";
-          ]
-    in
-    let failed = ref false in
-    let rows = ref [] in
-    (try
-       List.iter
-         (fun scheme ->
-           List.iter
-             (fun wl ->
-               let s =
-                 Su_check.Faultsweep.sweep ~jobs ~spares ?max_sectors
-                   ~fail_fast ~cfg:(sweep_cfg scheme) wl
-               in
-               let ok = Su_check.Faultsweep.ok s in
-               rows := (scheme, s, ok) :: !rows;
-               Su_util.Text_table.add_row table
-                 [
-                   Fs.scheme_kind_name scheme;
-                   s.Su_check.Faultsweep.fs_workload;
-                   Su_util.Text_table.cell_i s.Su_check.Faultsweep.fs_sectors;
-                   Su_util.Text_table.cell_i s.Su_check.Faultsweep.fs_swept;
-                   Su_util.Text_table.cell_i s.Su_check.Faultsweep.fs_completed;
-                   Su_util.Text_table.cell_i
-                     s.Su_check.Faultsweep.fs_failed_typed;
-                   Su_util.Text_table.cell_i s.Su_check.Faultsweep.fs_escaped;
-                   Su_util.Text_table.cell_i s.Su_check.Faultsweep.fs_remaps;
-                   Su_util.Text_table.cell_i
-                     s.Su_check.Faultsweep.fs_violations;
-                   (if ok then "survives-or-fails-clean" else "BROKEN *");
-                 ];
-               if not ok then begin
-                 failed := true;
-                 List.iter
-                   (fun v ->
-                     if not (Su_check.Faultsweep.fv_clean v) then
-                       Printf.eprintf
-                         "  %s/%s sector %d: %s%s (pre %d, converged %b, \
-                          post %d, remount %b)\n"
-                         (Fs.scheme_kind_name scheme)
-                         s.Su_check.Faultsweep.fs_workload
-                         v.Su_check.Faultsweep.fv_sector
-                         (Su_check.Faultsweep.outcome_name
-                            v.Su_check.Faultsweep.fv_outcome)
-                         (match v.Su_check.Faultsweep.fv_outcome with
-                          | Su_check.Faultsweep.Failed_typed m
-                          | Su_check.Faultsweep.Escaped m ->
-                            " [" ^ m ^ "]"
-                          | Su_check.Faultsweep.Completed -> "")
-                         v.Su_check.Faultsweep.fv_pre_violations
-                         v.Su_check.Faultsweep.fv_repair_converged
-                         v.Su_check.Faultsweep.fv_post_violations
-                         v.Su_check.Faultsweep.fv_remount_ok)
-                   s.Su_check.Faultsweep.fs_verdicts;
-                 if fail_fast then raise Exit
-               end)
-             workloads)
-         schemes
-     with Exit -> ());
-    Su_util.Text_table.print table;
-    (match json_path with
-     | None -> ()
-     | Some path ->
-       let open Su_obs.Json in
-       let sweep_json (scheme, s, ok) =
-         Obj
-           [
-             ("scheme", Str (Fs.scheme_kind_name scheme));
-             ("workload", Str s.Su_check.Faultsweep.fs_workload);
-             ("sectors", Int s.Su_check.Faultsweep.fs_sectors);
-             ("swept", Int s.Su_check.Faultsweep.fs_swept);
-             ("completed", Int s.Su_check.Faultsweep.fs_completed);
-             ("failed_typed", Int s.Su_check.Faultsweep.fs_failed_typed);
-             ("escaped", Int s.Su_check.Faultsweep.fs_escaped);
-             ("remaps", Int s.Su_check.Faultsweep.fs_remaps);
-             ("violations", Int s.Su_check.Faultsweep.fs_violations);
-             ("ok", Bool ok);
-           ]
-       in
-       write_json_file path
-         (Obj
-            [
-              ("campaign", Str "faultsweep");
-              ("spares", Int spares);
-              ("ok", Bool (not !failed));
-              ("sweeps", List (List.rev_map sweep_json !rows));
-            ]));
-    if !failed then begin
-      prerr_endline
-        (if fail_fast then
-           "faultsweep: violation found (stopped early; * marks the failing \
-            row)"
-         else "faultsweep: violation found (* marks failing rows)");
-      exit 1
-    end
+    let open Faultsweep in
+    campaign ~name:"faultsweep"
+      ~title:
+        (Printf.sprintf
+           "fault sweep: a permanent bad sector at every touched fragment \
+            (%d spares)"
+           spares)
+      ~columns:
+        [
+          scheme_col (fun s -> s.fs_scheme);
+          str_col "workload" "workload" (fun s -> s.fs_workload);
+          int_col "sectors" "sectors" (fun s -> s.fs_sectors);
+          int_col "swept" "swept" (fun s -> s.fs_swept);
+          int_col "completed" "completed" (fun s -> s.fs_completed);
+          int_col "typed" "failed_typed" (fun s -> s.fs_failed_typed);
+          int_col "escaped" "escaped" (fun s -> s.fs_escaped);
+          int_col "remaps" "remaps" (fun s -> s.fs_remaps);
+          int_col "violations" "violations" (fun s -> s.fs_violations);
+          col ~head:"verdict" (fun s ->
+              Su_obs.Json.Str
+                (if ok s then "survives-or-fails-clean" else "BROKEN *"));
+        ]
+      ~json_head:[ ("spares", Su_obs.Json.Int spares) ]
+      ~ok ~fail_fast:opts.fail_fast ?json:opts.json opts.schemes workloads
+      (fun scheme wl ->
+        let s =
+          sweep ~jobs:opts.jobs ~spares ?max_sectors ~fail_fast:opts.fail_fast
+            ~cfg:(Campaign.compact_cfg scheme) wl
+        in
+        List.iter
+          (fun v ->
+            if not (fv_clean v) then
+              report_verdict ~scheme ~workload:s.fs_workload
+                (Printf.sprintf "sector %d" v.fv_sector)
+                v.fv_outcome v.fv_judged "")
+          s.fs_verdicts;
+        s)
   in
   Cmd.v
     (Cmd.info "faultsweep"
@@ -922,234 +816,77 @@ let faultsweep_cmd =
           absorbed the fault) or stops with a typed error leaving a \
           repairable, remountable image. Exits non-zero on any escape or \
           unclean failure.")
-    Term.(
-      const run $ schemes_arg $ workloads_arg $ jobs_arg
-      $ spares_arg ~default:64 $ max_sectors_arg $ fail_fast_arg $ json_arg)
+    Term.(const run $ sweep_opts $ spares_arg ~default:64 $ max_sectors_arg)
 
 let corruptsweep_cmd =
-  let schemes_arg =
-    Arg.(
-      value
-      & opt (some (list scheme_conv)) None
-      & info [ "schemes" ]
-          ~doc:
-            "Comma-separated schemes to sweep (default: the paper's five \
-             plus journaled).")
-  in
-  let workloads_arg =
-    Arg.(
-      value
-      & opt (list string) [ "smallfiles"; "dirtree"; "renamefile"; "renamedir" ]
-      & info [ "w"; "workloads" ]
-          ~doc:
-            "Comma-separated built-in workloads: smallfiles, dirtree, \
-             renamefile, renamedir (op-list editions, so every run has a \
-             model oracle).")
-  in
-  let jobs_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "j"; "jobs" ]
-          ~doc:
-            "Worker domains for the per-injection runs (default 1 = serial; \
-             0 = one per core). Verdicts and output are byte-identical at \
-             any value.")
-  in
   let max_injections_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "max-injections" ]
-          ~doc:
-            "Cap the (sector, class) pairs injected per sweep (smoke runs; \
-             default: the full plan).")
+    cap_arg "max-injections"
+      ~doc:
+        "Cap the (sector, class) pairs injected per sweep (smoke runs; \
+         default: the full plan)."
   in
-  let fail_fast_arg =
-    Arg.(
-      value & flag
-      & info [ "fail-fast" ]
-          ~doc:"Stop at the first verdict that breaks detect-or-fail-clean.")
-  in
-  let json_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"PATH"
-          ~doc:
-            "Also write the sweep summaries (one object per scheme x \
-             workload row, with the verdict) as JSON to $(docv).")
-  in
-  let sweep_cfg scheme =
-    (* compact volume, as in faultsweep: the campaign re-runs the
-       whole workload once per (sector, class) pair *)
-    {
-      (Fs.config ~scheme ()) with
-      Fs.geom = Su_fstypes.Geom.v ~mb:32 ~cg_mb:16 ~inodes_per_cg:1024 ();
-      cache_mb = 4;
-      journal_mb = 2;
-    }
-  in
-  let run schemes workload_names jobs spares max_injections fail_fast
-      json_path =
-    let schemes =
-      match schemes with
-      | Some s -> s
-      | None -> Fs.all_schemes @ [ Fs.Journaled { group_commit = false } ]
-    in
+  let run opts spares max_injections =
+    (* the op-list editions of the workloads, so every run has a model
+       oracle *)
     let cases =
-      List.filter_map
-        (fun name ->
-          match Fuzz.find_case name with
-          | Some ops -> Some (name, ops)
-          | None ->
-            Printf.eprintf "unknown workload %S (skipped)\n" name;
-            None)
-        workload_names
+      resolve_workloads ~name:"corruptsweep"
+        (fun n -> Option.map (fun ops -> (n, ops)) (Fuzz.find_case n))
+        opts.workloads
     in
-    if cases = [] then begin
-      prerr_endline "corruptsweep: no valid workloads left to sweep";
-      exit 2
-    end;
-    let table =
-      Su_util.Text_table.create
-        ~title:
-          (Printf.sprintf
-             "corruption sweep: every silent-fault class on every touched \
-              sector, checksums on (%d spares)"
-             spares)
-        ~headers:
-          [
-            "scheme"; "workload"; "reads"; "writes"; "swept"; "completed";
-            "typed"; "escaped"; "detected"; "repaired"; "silent"; "violations";
-            "verdict";
-          ]
-    in
-    let failed = ref false in
-    let rows = ref [] in
-    (try
-       List.iter
-         (fun scheme ->
-           List.iter
-             (fun (name, ops) ->
-               let cfg = sweep_cfg scheme in
-               let wl = Fuzz.workload_of_ops ~name ops in
-               (* the oracle mounts the final logical image of a
-                  checksummed, spare-provisioned run — its config must
-                  admit the same image shape *)
-               let oracle_cfg =
-                 { cfg with Fs.checksums = true; Fs.spare_frags = spares }
-               in
-               let oracle image =
-                 Fuzz.check_final_image ~cfg:oracle_cfg image ops
-               in
-               let s =
-                 Su_check.Corruptsweep.sweep ~jobs ~spares ?max_injections
-                   ~fail_fast ~cfg ~oracle wl
-               in
-               let ok = Su_check.Corruptsweep.ok s in
-               rows := (scheme, s, ok) :: !rows;
-               Su_util.Text_table.add_row table
-                 [
-                   Fs.scheme_kind_name scheme;
-                   s.Su_check.Corruptsweep.cs_workload;
-                   Su_util.Text_table.cell_i
-                     s.Su_check.Corruptsweep.cs_read_sectors;
-                   Su_util.Text_table.cell_i
-                     s.Su_check.Corruptsweep.cs_write_sectors;
-                   Su_util.Text_table.cell_i s.Su_check.Corruptsweep.cs_swept;
-                   Su_util.Text_table.cell_i
-                     s.Su_check.Corruptsweep.cs_completed;
-                   Su_util.Text_table.cell_i
-                     s.Su_check.Corruptsweep.cs_failed_typed;
-                   Su_util.Text_table.cell_i s.Su_check.Corruptsweep.cs_escaped;
-                   Su_util.Text_table.cell_i
-                     s.Su_check.Corruptsweep.cs_detected;
-                   Su_util.Text_table.cell_i
-                     s.Su_check.Corruptsweep.cs_repaired;
-                   Su_util.Text_table.cell_i
-                     s.Su_check.Corruptsweep.cs_silent_escapes;
-                   Su_util.Text_table.cell_i
-                     s.Su_check.Corruptsweep.cs_violations;
-                   (if ok then "detects-or-fails-clean" else "BROKEN *");
-                 ];
-               if not ok then begin
-                 failed := true;
-                 List.iter
-                   (fun v ->
-                     if
-                       (not (Su_check.Corruptsweep.cv_clean v))
-                       || Su_check.Corruptsweep.cv_silent_escape v
-                     then
-                       Printf.eprintf
-                         "  %s/%s %s sector %d: %s%s (injected %b, detected \
-                          %d, repaired %d, pre %d, converged %b, post %d, \
-                          remount %b, diverged %d)\n"
-                         (Fs.scheme_kind_name scheme)
-                         s.Su_check.Corruptsweep.cs_workload
-                         (Su_check.Corruptsweep.class_name
-                            v.Su_check.Corruptsweep.cv_class)
-                         v.Su_check.Corruptsweep.cv_sector
-                         (Su_check.Corruptsweep.outcome_name
-                            v.Su_check.Corruptsweep.cv_outcome)
-                         (match v.Su_check.Corruptsweep.cv_outcome with
-                          | Su_check.Corruptsweep.Failed_typed m
-                          | Su_check.Corruptsweep.Escaped m ->
-                            " [" ^ m ^ "]"
-                          | Su_check.Corruptsweep.Completed -> "")
-                         v.Su_check.Corruptsweep.cv_injected
-                         v.Su_check.Corruptsweep.cv_detected
-                         v.Su_check.Corruptsweep.cv_repaired
-                         v.Su_check.Corruptsweep.cv_pre_violations
-                         v.Su_check.Corruptsweep.cv_repair_converged
-                         v.Su_check.Corruptsweep.cv_post_violations
-                         v.Su_check.Corruptsweep.cv_remount_ok
-                         v.Su_check.Corruptsweep.cv_divergences)
-                   s.Su_check.Corruptsweep.cs_verdicts;
-                 if fail_fast then raise Exit
-               end)
-             cases)
-         schemes
-     with Exit -> ());
-    Su_util.Text_table.print table;
-    (match json_path with
-     | None -> ()
-     | Some path ->
-       let open Su_obs.Json in
-       let sweep_json (scheme, s, ok) =
-         Obj
-           [
-             ("scheme", Str (Fs.scheme_kind_name scheme));
-             ("workload", Str s.Su_check.Corruptsweep.cs_workload);
-             ("read_sectors", Int s.Su_check.Corruptsweep.cs_read_sectors);
-             ("write_sectors", Int s.Su_check.Corruptsweep.cs_write_sectors);
-             ("planned", Int s.Su_check.Corruptsweep.cs_planned);
-             ("swept", Int s.Su_check.Corruptsweep.cs_swept);
-             ("completed", Int s.Su_check.Corruptsweep.cs_completed);
-             ("failed_typed", Int s.Su_check.Corruptsweep.cs_failed_typed);
-             ("escaped", Int s.Su_check.Corruptsweep.cs_escaped);
-             ("detected", Int s.Su_check.Corruptsweep.cs_detected);
-             ("repaired", Int s.Su_check.Corruptsweep.cs_repaired);
-             ("silent_escapes", Int s.Su_check.Corruptsweep.cs_silent_escapes);
-             ("violations", Int s.Su_check.Corruptsweep.cs_violations);
-             ("ok", Bool ok);
-           ]
-       in
-       write_json_file path
-         (Obj
-            [
-              ("campaign", Str "corruptsweep");
-              ("spares", Int spares);
-              ("ok", Bool (not !failed));
-              ("sweeps", List (List.rev_map sweep_json !rows));
-            ]));
-    if !failed then begin
-      prerr_endline
-        (if fail_fast then
-           "corruptsweep: violation found (stopped early; * marks the \
-            failing row)"
-         else "corruptsweep: violation found (* marks failing rows)");
-      exit 1
-    end
+    let open Corruptsweep in
+    campaign ~name:"corruptsweep"
+      ~title:
+        (Printf.sprintf
+           "corruption sweep: every silent-fault class on every touched \
+            sector, checksums on (%d spares)"
+           spares)
+      ~columns:
+        [
+          scheme_col (fun s -> s.cs_scheme);
+          str_col "workload" "workload" (fun s -> s.cs_workload);
+          int_col "reads" "read_sectors" (fun s -> s.cs_read_sectors);
+          int_col "writes" "write_sectors" (fun s -> s.cs_write_sectors);
+          col ~key:"planned" (fun s -> Su_obs.Json.Int s.cs_planned);
+          int_col "swept" "swept" (fun s -> s.cs_swept);
+          int_col "completed" "completed" (fun s -> s.cs_completed);
+          int_col "typed" "failed_typed" (fun s -> s.cs_failed_typed);
+          int_col "escaped" "escaped" (fun s -> s.cs_escaped);
+          int_col "detected" "detected" (fun s -> s.cs_detected);
+          int_col "repaired" "repaired" (fun s -> s.cs_repaired);
+          int_col "silent" "silent_escapes" (fun s -> s.cs_silent_escapes);
+          int_col "violations" "violations" (fun s -> s.cs_violations);
+          col ~head:"verdict" (fun s ->
+              Su_obs.Json.Str
+                (if ok s then "detects-or-fails-clean" else "BROKEN *"));
+        ]
+      ~json_head:[ ("spares", Su_obs.Json.Int spares) ]
+      ~ok ~fail_fast:opts.fail_fast ?json:opts.json opts.schemes cases
+      (fun scheme (name, ops) ->
+        let cfg = Campaign.compact_cfg scheme in
+        (* the oracle mounts the final logical image of a checksummed,
+           spare-provisioned run — its config must admit the same image
+           shape *)
+        let oracle_cfg =
+          { cfg with Fs.checksums = true; Fs.spare_frags = spares }
+        in
+        let oracle image = Fuzz.check_final_image ~cfg:oracle_cfg image ops in
+        let s =
+          sweep ~jobs:opts.jobs ~spares ?max_injections
+            ~fail_fast:opts.fail_fast ~cfg ~oracle
+            (Fuzz.workload_of_ops ~name ops)
+        in
+        List.iter
+          (fun v ->
+            if not (cv_clean v) then
+              report_verdict ~scheme ~workload:s.cs_workload
+                (Printf.sprintf "%s sector %d" (class_name v.cv_class)
+                   v.cv_sector)
+                v.cv_outcome v.cv_judged
+                (Printf.sprintf
+                   ", injected %b, detected %d, repaired %d, diverged %d"
+                   v.cv_injected v.cv_detected v.cv_repaired v.cv_divergences))
+          s.cs_verdicts;
+        s)
   in
   Cmd.v
     (Cmd.info "corruptsweep"
@@ -1164,9 +901,7 @@ let corruptsweep_cmd =
           silently diverges from the model is the defining failure. Exits \
           non-zero on any escape, silent escape or unclean failure.")
     Term.(
-      const run $ schemes_arg $ workloads_arg $ jobs_arg
-      $ spares_arg ~default:64 $ max_injections_arg $ fail_fast_arg
-      $ json_arg)
+      const run $ sweep_opts $ spares_arg ~default:64 $ max_injections_arg)
 
 let fuzz_cmd =
   let seed_arg =
@@ -1180,29 +915,9 @@ let fuzz_cmd =
       value & opt int 1
       & info [ "n"; "count" ] ~doc:"Consecutive seeds to fuzz.")
   in
-  let schemes_arg =
-    Arg.(
-      value
-      & opt (some (list scheme_conv)) None
-      & info [ "schemes" ]
-          ~doc:
-            "Comma-separated schemes to fuzz (default: the paper's five \
-             plus journaled).")
-  in
-  let jobs_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "j"; "jobs" ]
-          ~doc:
-            "Worker domains for per-crash-state verification (0 = one per \
-             core).")
-  in
   let max_boundaries_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "max-boundaries" ]
-          ~doc:"Cap the write boundaries swept per case (smoke runs).")
+    cap_arg "max-boundaries"
+      ~doc:"Cap the write boundaries swept per case (smoke runs)."
   in
   let no_torn_arg =
     Arg.(
@@ -1216,103 +931,68 @@ let fuzz_cmd =
       & info [ "no-nested" ]
           ~doc:"Skip re-crashing the recovery pipeline inside its own writes.")
   in
-  let fail_fast_arg =
-    Arg.(
-      value & flag
-      & info [ "fail-fast" ] ~doc:"Stop at the first failing case.")
-  in
-  let fuzz_cfg ~fault ~checksums scheme =
-    {
-      (Fs.config ~scheme ()) with
-      Fs.geom = Su_fstypes.Geom.v ~mb:32 ~cg_mb:16 ~inodes_per_cg:1024 ();
-      cache_mb = 4;
-      journal_mb = 2;
-      fault;
-      checksums;
-    }
-  in
   let run seed0 ops_n count schemes jobs max_boundaries no_torn no_nested
       fail_fast fault_seed fault_rate flip lost misdirect checksums =
-    let schemes =
-      match schemes with
-      | Some s -> s
-      | None -> Fs.all_schemes @ [ Fs.Journaled { group_commit = false } ]
-    in
     let nested = not no_nested in
-    let table =
-      Su_util.Text_table.create
-        ~title:
-          (Printf.sprintf "workload fuzz: %d seed%s x %d ops, per scheme%s"
-             count
-             (if count = 1 then "" else "s")
-             ops_n
-             (if nested then ", crashes during recovery included" else ""))
-        ~headers:
-          [
-            "scheme"; "seed"; "ops"; "writes"; "states"; "nested"; "verdict";
-          ]
+    let fault =
+      fault_of ~flip ~lost ~misdirect ~seed:fault_seed ~rate:fault_rate
+        ~bad_sectors:[] ()
     in
-    let failed = ref false in
-    (try
-       List.iter
-         (fun scheme ->
-           let cfg =
-             fuzz_cfg
-               ~fault:
-                 (fault_of ~flip ~lost ~misdirect ~seed:fault_seed
-                    ~rate:fault_rate ~bad_sectors:[] ())
-               ~checksums scheme
+    let summary (_, _, r) = r.Fuzz.cr_summary in
+    campaign ~name:"fuzz"
+      ~title:
+        (Printf.sprintf "workload fuzz: %d seed%s x %d ops, per scheme%s"
+           count
+           (if count = 1 then "" else "s")
+           ops_n
+           (if nested then ", crashes during recovery included" else ""))
+      ~columns:
+        [
+          scheme_col (fun r -> (summary r).Explorer.s_scheme);
+          str_col "seed" "seed" (fun (seed, _, _) -> string_of_int seed);
+          int_col "ops" "ops" (fun (_, ops, _) -> List.length ops);
+          int_col "writes" "writes" (fun r -> (summary r).Explorer.s_writes);
+          int_col "states" "states" (fun r -> (summary r).Explorer.s_states);
+          int_col "nested" "nested" (fun r ->
+              (summary r).Explorer.s_nested_states);
+          str_col "verdict" "verdict" (fun (_, _, r) ->
+              match Fuzz.failure r with
+              | None -> "pass"
+              | Some w -> "FAIL: " ^ w);
+        ]
+      ~failure:"fuzz: failing case found (reproducers above)"
+      ~ok:(fun (_, _, r) -> Fuzz.failure r = None)
+      ~fail_fast (schemes_or_default schemes)
+      (List.init count (fun k -> seed0 + k))
+      (fun scheme seed ->
+        let cfg = { (Campaign.compact_cfg scheme) with Fs.fault; checksums } in
+        let ops = Fuzz.gen ~seed ~ops:ops_n in
+        let case ops =
+          Fuzz.run_case ~nested ~torn:(not no_torn) ~jobs ?max_boundaries ~cfg
+            ~name:(Printf.sprintf "fuzz-%d" seed)
+            ops
+        in
+        let r = case ops in
+        (match Fuzz.failure r with
+         | None -> ()
+         | Some why ->
+           Printf.eprintf "seed %d under %s: %s; shrinking...\n%!" seed
+             (Fs.scheme_kind_name scheme)
+             why;
+           let minimal =
+             Fuzz.shrink
+               ~still_fails:(fun ops' -> Fuzz.failure (case ops') <> None)
+               ops
            in
-           for k = 0 to count - 1 do
-             let seed = seed0 + k in
-             let ops = Fuzz.gen ~seed ~ops:ops_n in
-             let name = Printf.sprintf "fuzz-%d" seed in
-             let case ops =
-               Fuzz.run_case ~nested ~torn:(not no_torn) ~jobs ?max_boundaries
-                 ~cfg ~name ops
-             in
-             let r = case ops in
-             let s = r.Fuzz.cr_summary in
-             let why = Fuzz.failure r in
-             Su_util.Text_table.add_row table
-               [
-                 Fs.scheme_kind_name scheme;
-                 string_of_int seed;
-                 Su_util.Text_table.cell_i (List.length ops);
-                 Su_util.Text_table.cell_i s.Su_check.Explorer.s_writes;
-                 Su_util.Text_table.cell_i s.Su_check.Explorer.s_states;
-                 Su_util.Text_table.cell_i s.Su_check.Explorer.s_nested_states;
-                 (match why with None -> "pass" | Some w -> "FAIL: " ^ w);
-               ];
-             match why with
-             | None -> ()
-             | Some why ->
-               failed := true;
-               Printf.eprintf "seed %d under %s: %s; shrinking...\n%!" seed
-                 (Fs.scheme_kind_name scheme)
-                 why;
-               let minimal =
-                 Fuzz.shrink
-                   ~still_fails:(fun ops' -> Fuzz.failure (case ops') <> None)
-                   ops
-               in
-               Printf.eprintf
-                 "minimal reproducer (seed %d, %d of %d ops, scheme %s):\n"
-                 seed (List.length minimal) (List.length ops)
-                 (Fs.scheme_kind_name scheme);
-               List.iter
-                 (fun op -> Printf.eprintf "  %s\n" (Fuzz.op_to_string op))
-                 minimal;
-               Printf.eprintf "%!";
-               if fail_fast then raise Exit
-           done)
-         schemes
-     with Exit -> ());
-    Su_util.Text_table.print table;
-    if !failed then begin
-      prerr_endline "fuzz: failing case found (reproducers above)";
-      exit 1
-    end
+           Printf.eprintf
+             "minimal reproducer (seed %d, %d of %d ops, scheme %s):\n" seed
+             (List.length minimal) (List.length ops)
+             (Fs.scheme_kind_name scheme);
+           List.iter
+             (fun op -> Printf.eprintf "  %s\n" (Fuzz.op_to_string op))
+             minimal;
+           Printf.eprintf "%!");
+        (seed, ops, r))
   in
   Cmd.v
     (Cmd.info "fuzz"
@@ -1395,17 +1075,6 @@ let exp_cmd =
   in
   let quick_arg =
     Arg.(value & flag & info [ "quick" ] ~doc:"Reduced workload sizes.")
-  in
-  let jobs_arg =
-    Arg.(
-      value
-      & opt int 1
-      & info [ "j"; "jobs" ] ~docv:"N"
-          ~doc:
-            "Render the named experiments in up to $(docv) pool worker \
-             domains (0 = all cores). Each experiment is an independent \
-             simulated world; results are merged and printed in argument \
-             order, so the rendered output is identical at any $(docv).")
   in
   let json_arg =
     Arg.(
@@ -1552,14 +1221,6 @@ let loadgen_cmd =
              Part of the experiment definition: the report depends on the \
              shard count, never on --jobs.")
   in
-  let jobs_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "j"; "jobs" ]
-          ~doc:
-            "Worker domains running the shards (default 1 = serial; 0 = one \
-             per core). The report is byte-identical at any value.")
-  in
   let json_arg =
     Arg.(
       value & flag
@@ -1698,20 +1359,15 @@ let loadgen_cmd =
 (* Typed simulation failures must reach the shell as one clean stderr
    line and a distinct exit code (3), not an OCaml backtrace: a run
    against a fault model that exhausts the stack's tolerance is an
-   expected outcome for scripts to branch on, not a crash. Exceptions
-   raised inside simulated processes arrive wrapped in
-   [Proc.Process_failure]; unwrap before classifying. *)
+   expected outcome for scripts to branch on, not a crash. Besides the
+   campaigns' typed failures, the CLI treats a stuck cache and a
+   [Failure] (a recording run that did not complete) as typed. *)
 let rec typed_error = function
   | Su_sim.Proc.Process_failure (_, e) -> typed_error e
-  | Fsops.Eio msg -> Some ("I/O error: " ^ msg)
-  | Fsops.Erofs msg -> Some ("read-only file system: " ^ msg)
-  | Su_cache.Bcache.Io_error e ->
-    Some ("I/O error: " ^ Su_disk.Fault.error_to_string e)
   | Su_cache.Bcache.Stuck { op; detail; buffers } ->
     Some (Su_cache.Bcache.stuck_to_string ~op ~detail buffers)
-  | Fs.Mount_failure msg -> Some ("mount failure: " ^ msg)
   | Failure msg -> Some msg
-  | _ -> None
+  | e -> Campaign.typed_failure e
 
 let () =
   let info =

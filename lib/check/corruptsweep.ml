@@ -1,10 +1,9 @@
-open Su_sim
 open Su_fs
 
 (* Systematic silent-corruption campaign (the integrity analogue of
-   {!Faultsweep}). One fault-free recording run splits the sectors a
-   workload touches into read-touched and write-touched sets; the
-   sweep then re-runs the workload — checksums on — once per touched
+   {!Faultsweep}), a planner on {!Campaign}. One fault-free recording
+   run splits the sectors a workload touches into read-touched and
+   write-touched sets; the sweep then re-runs the workload — checksums on — once per touched
    sector per silent-fault class (bit-flipped read on a read-touched
    sector; lost or misdirected write on a write-touched one), and
    asserts detect-and-repair or fail-clean: either every operation
@@ -22,49 +21,11 @@ let class_name = function
   | Lost -> "lost"
   | Misdirect -> "misdirect"
 
-(* --- touched-sector discovery ---------------------------------------- *)
-
-(* Run the workload once, fault-free with checksums on (the sweep's
-   configuration, so the access pattern is the injected runs'), and
-   split the union of request extents by direction. Both ascending,
-   so the injection plan — and the sweep output — is deterministic. *)
+(* Discovery runs the sweep's own configuration, checksums on, so the
+   access pattern is the injected runs'. *)
 let touched_sectors ~cfg wl =
-  let cfg =
-    { cfg with
-      Fs.fault = Su_disk.Fault.none;
-      checksums = true;
-      keep_trace_records = true }
-  in
-  let w = Fs.make cfg in
-  let controller () =
-    let h =
-      Proc.spawn w.Fs.engine ~name:"workload" (fun () ->
-          wl.Explorer.wl_run w.Fs.st)
-    in
-    Proc.join_all w.Fs.engine [ h ];
-    Fs.stop w;
-    Su_driver.Driver.quiesce w.Fs.driver;
-    Engine.stop w.Fs.engine
-  in
-  ignore (Proc.spawn w.Fs.engine ~name:"controller" controller);
-  Engine.run w.Fs.engine;
-  let reads = Hashtbl.create 1024 and writes = Hashtbl.create 1024 in
-  List.iter
-    (fun r ->
-      let tbl =
-        match r.Su_driver.Trace.r_kind with
-        | Su_driver.Request.Read -> reads
-        | Su_driver.Request.Write -> writes
-      in
-      for i = 0 to r.Su_driver.Trace.r_nfrags - 1 do
-        Hashtbl.replace tbl (r.Su_driver.Trace.r_lbn + i) ()
-      done)
-    (Su_driver.Trace.records (Su_driver.Driver.trace w.Fs.driver));
-  let sorted tbl =
-    Array.of_list
-      (List.sort compare (Hashtbl.fold (fun s () acc -> s :: acc) tbl []))
-  in
-  (sorted reads, sorted writes)
+  Campaign.touched_sectors ~cfg:{ cfg with Fs.checksums = true }
+    wl.Explorer.wl_run
 
 (* The injection plan: one flip per read-touched sector, one lost and
    one misdirected write per write-touched sector. A misdirection
@@ -100,31 +61,15 @@ let plan ~reads ~writes =
 
 (* --- one run under one injected silent fault -------------------------- *)
 
-type outcome =
-  | Completed  (** every operation finished; detection/repair absorbed it *)
-  | Failed_typed of string
-      (** the run stopped with a typed error (Eio / Erofs / Io_error /
-          Mount_failure) — legal iff the surviving state is clean *)
-  | Escaped of string
-      (** an untyped exception or a hang: always a violation *)
-
-let outcome_name = function
-  | Completed -> "completed"
-  | Failed_typed _ -> "failed-typed"
-  | Escaped _ -> "escaped"
-
 type verdict = {
   cv_sector : int;
   cv_class : silent_class;
   cv_victim : int;  (** misdirection victim, [-1] otherwise *)
-  cv_outcome : outcome;
+  cv_outcome : Campaign.outcome;
   cv_injected : bool;  (** the one-shot fault actually fired *)
   cv_detected : int;  (** checksum mismatches the run observed *)
   cv_repaired : int;  (** fragments the online ladder healed *)
-  cv_pre_violations : int;  (** fsck violations before repair *)
-  cv_repair_converged : bool;
-  cv_post_violations : int;  (** violations surviving repair *)
-  cv_remount_ok : bool;  (** repaired image remounted, ran on, stayed clean *)
+  cv_judged : Campaign.judgement;
   cv_divergences : int;  (** model-oracle mismatches on the final image *)
 }
 
@@ -134,13 +79,11 @@ type verdict = {
    the campaign vacuous); a typed failure may lose data but must
    leave a repairable, remountable volume; an escape never passes. *)
 let cv_clean v =
+  Campaign.judged_clean v.cv_outcome v.cv_judged
+  &&
   match v.cv_outcome with
-  | Completed ->
-    v.cv_injected && v.cv_pre_violations = 0 && v.cv_divergences = 0
-    && v.cv_remount_ok
-  | Failed_typed _ ->
-    v.cv_repair_converged && v.cv_post_violations = 0 && v.cv_remount_ok
-  | Escaped _ -> false
+  | Completed -> v.cv_injected && v.cv_divergences = 0
+  | Failed_typed _ | Escaped _ -> true
 
 (* A Completed verdict whose image diverged from the model: the
    corruption went fully undetected. The summary counts these
@@ -149,56 +92,6 @@ let cv_silent_escape v =
   match v.cv_outcome with
   | Completed -> v.cv_injected && v.cv_divergences > 0
   | Failed_typed _ | Escaped _ -> false
-
-let check_exposure_of cfg =
-  match cfg.Fs.scheme with
-  | Fs.Journaled _ -> false
-  | Fs.Conventional | Fs.Scheduler_flag | Fs.Scheduler_chains _
-  | Fs.Soft_updates | Fs.No_order ->
-    cfg.Fs.alloc_init
-
-let typed_failure = function
-  | Fsops.Eio msg -> Some ("Eio: " ^ msg)
-  | Fsops.Erofs msg -> Some ("Erofs: " ^ msg)
-  | Su_cache.Bcache.Io_error e ->
-    Some ("Io_error: " ^ Su_disk.Fault.error_to_string e)
-  | Fs.Mount_failure msg -> Some ("Mount_failure: " ^ msg)
-  | _ -> None
-
-(* Remount the repaired logical image — checksums still on, so every
-   probe read re-verifies — and keep living in it. *)
-let remount_and_continue ~cfg image =
-  let cfg =
-    { cfg with
-      Fs.fault = Su_disk.Fault.none;
-      spare_frags = 0;
-      scrub_interval = 0.0 }
-  in
-  try
-    let w = Fs.mount_image cfg image in
-    let done_ = ref false in
-    let controller () =
-      let d = "/corruptsweep.d" in
-      Fsops.mkdir w.Fs.st d;
-      Fsops.create w.Fs.st (d ^ "/probe");
-      Fsops.append w.Fs.st (d ^ "/probe") ~bytes:3072;
-      Fsops.rename w.Fs.st ~src:(d ^ "/probe") ~dst:(d ^ "/probe2");
-      Fsops.sync w.Fs.st;
-      Fs.stop w;
-      Su_driver.Driver.quiesce w.Fs.driver;
-      done_ := true;
-      Engine.stop w.Fs.engine
-    in
-    ignore (Proc.spawn w.Fs.engine ~name:"continue" controller);
-    Engine.run w.Fs.engine;
-    !done_
-    &&
-    let final = Su_disk.Disk.image_snapshot w.Fs.disk in
-    Fs.recover_image cfg final;
-    Fsck.ok
-      (Fsck.check ~geom:cfg.Fs.geom ~image:final
-         ~check_exposure:(check_exposure_of cfg))
-  with _ -> false
 
 let fault_of_injection inj =
   match inj.inj_class with
@@ -209,91 +102,54 @@ let fault_of_injection inj =
       misdirect_at = [ (inj.inj_sector, inj.inj_victim) ] }
 
 let run_one ~cfg ~spares ~oracle wl inj =
-  let run_cfg =
+  let cfg =
     { cfg with
       Fs.fault = fault_of_injection inj;
       checksums = true;
       spare_frags = spares;
       keep_trace_records = false }
   in
-  let w = Fs.make run_cfg in
-  let outcome = ref (Escaped "hang: event queue drained mid-run") in
-  let controller () =
-    (try
-       wl.Explorer.wl_run w.Fs.st;
-       (* the workload ended in a sync; a lost or misdirected write
-          the foreground never re-read is still latent on the media —
-          surface it now, while the cache's clean copies are alive to
-          repair from *)
-       let unrepaired =
-         match w.Fs.integrity with
-         | Some integ -> Integrity.full_verify integ
-         | None -> 0
-       in
-       if unrepaired > 0 then
-         outcome :=
-           Failed_typed
-             (Printf.sprintf "integrity: %d fragment(s) unrecoverable"
-                unrepaired)
-       else outcome := Completed
-     with e ->
-       (match typed_failure e with
-        | Some msg -> outcome := Failed_typed msg
-        | None -> outcome := Escaped (Printexc.to_string e)));
-    (try
-       Fs.stop w;
-       Su_driver.Driver.quiesce w.Fs.driver
-     with e -> if typed_failure e = None then raise e);
-    Engine.stop w.Fs.engine
+  let w = Fs.make cfg in
+  (* the workload ended in a sync; a lost or misdirected write the
+     foreground never re-read is still latent on the media — surface
+     it now, while the cache's clean copies are alive to repair from *)
+  let finish w =
+    match w.Fs.integrity with
+    | Some integ ->
+      let unrepaired = Integrity.full_verify integ in
+      if unrepaired = 0 then None
+      else
+        Some
+          (Printf.sprintf "integrity: %d fragment(s) unrecoverable" unrepaired)
+    | None -> None
   in
-  ignore (Proc.spawn w.Fs.engine ~name:"controller" controller);
-  (try Engine.run w.Fs.engine
-   with Proc.Process_failure (_, e) ->
-     outcome :=
-       (match typed_failure e with
-        | Some msg -> Failed_typed msg
-        | None -> Escaped (Printexc.to_string e)));
+  let outcome = Campaign.run_workload ~finish w wl.Explorer.wl_run in
   let detected, repaired =
     match w.Fs.integrity with
     | Some i -> (Integrity.mismatches i, Integrity.repaired i)
     | None -> (0, 0)
   in
   let image = Su_disk.Disk.logical_snapshot w.Fs.disk in
-  Fs.recover_image run_cfg image;
-  let check_exposure = check_exposure_of run_cfg in
-  let pre = Fsck.check ~geom:run_cfg.Fs.geom ~image ~check_exposure in
-  let outcome_v = !outcome in
-  let repaired_img, converged, post =
-    match outcome_v with
-    | Completed -> (image, true, List.length pre.Fsck.violations)
-    | Failed_typed _ | Escaped _ ->
-      let o = Fsck.repair ~geom:run_cfg.Fs.geom ~image ~check_exposure () in
-      (image, o.Fsck.converged, List.length o.Fsck.final.Fsck.violations)
-  in
-  let divergences =
-    (* the oracle only constrains runs that claim success *)
-    match outcome_v with
-    | Completed -> List.length (oracle repaired_img)
-    | Failed_typed _ | Escaped _ -> 0
-  in
-  let remount_ok =
-    match outcome_v with
-    | Escaped _ -> false
-    | Completed | Failed_typed _ -> remount_and_continue ~cfg:run_cfg repaired_img
+  (* checksums still on at the remount, so every probe read
+     re-verifies *)
+  let judged =
+    Campaign.judge ~campaign:"corruptsweep" ~cfg
+      ~remount_cfg:(Campaign.clean_device cfg) outcome image
   in
   {
     cv_sector = inj.inj_sector;
     cv_class = inj.inj_class;
     cv_victim = inj.inj_victim;
-    cv_outcome = outcome_v;
+    cv_outcome = outcome;
     cv_injected = Su_disk.Disk.silent_faults w.Fs.disk > 0;
     cv_detected = detected;
     cv_repaired = repaired;
-    cv_pre_violations = List.length pre.Fsck.violations;
-    cv_repair_converged = converged;
-    cv_post_violations = post;
-    cv_remount_ok = remount_ok;
-    cv_divergences = divergences;
+    cv_judged = judged;
+    cv_divergences =
+      (* the oracle only constrains runs that claim success *)
+      (match outcome with
+       | Completed -> List.length (oracle image)
+       | Failed_typed _ | Escaped _ -> 0);
   }
 
 (* --- the campaign ----------------------------------------------------- *)
@@ -317,67 +173,32 @@ type summary = {
 
 let ok s = s.cs_escaped = 0 && s.cs_silent_escapes = 0 && s.cs_violations = 0
 
-(* Fixed fail-fast chunk (never derived from [jobs]) so the verdict
-   list — and any digest of it — is identical at any [--jobs] value. *)
-let fail_fast_chunk = 8
-
-let summarize ~cfg ~workload ~reads ~writes ~planned verdicts =
+let sweep ?jobs ?(spares = 64) ?max_injections ?fail_fast ~cfg ~oracle wl =
+  let reads, writes = touched_sectors ~cfg wl in
+  let injections = plan ~reads ~writes in
+  let verdicts =
+    Campaign.fan_out ?jobs ?cap:max_injections ?fail_fast ~clean:cv_clean
+      ~init:ignore (Array.length injections) (fun () i ->
+        run_one ~cfg ~spares ~oracle wl injections.(i))
+  in
   let count p = List.length (List.filter p verdicts) in
+  let sum f = List.fold_left (fun a v -> a + f v) 0 verdicts in
+  let completed, failed_typed, escaped =
+    Campaign.outcome_counts (List.map (fun v -> v.cv_outcome) verdicts)
+  in
   {
     cs_scheme = cfg.Fs.scheme;
-    cs_workload = workload;
-    cs_read_sectors = reads;
-    cs_write_sectors = writes;
-    cs_planned = planned;
+    cs_workload = wl.Explorer.wl_name;
+    cs_read_sectors = Array.length reads;
+    cs_write_sectors = Array.length writes;
+    cs_planned = Array.length injections;
     cs_swept = List.length verdicts;
-    cs_completed = count (fun v -> v.cv_outcome = Completed);
-    cs_failed_typed =
-      count (fun v ->
-          match v.cv_outcome with Failed_typed _ -> true | _ -> false);
-    cs_escaped =
-      count (fun v -> match v.cv_outcome with Escaped _ -> true | _ -> false);
-    cs_detected = List.fold_left (fun a v -> a + v.cv_detected) 0 verdicts;
-    cs_repaired = List.fold_left (fun a v -> a + v.cv_repaired) 0 verdicts;
+    cs_completed = completed;
+    cs_failed_typed = failed_typed;
+    cs_escaped = escaped;
+    cs_detected = sum (fun v -> v.cv_detected);
+    cs_repaired = sum (fun v -> v.cv_repaired);
     cs_silent_escapes = count cv_silent_escape;
     cs_violations = count (fun v -> not (cv_clean v));
     cs_verdicts = verdicts;
   }
-
-let sweep ?(jobs = 1) ?(spares = 64) ?max_injections ?(fail_fast = false) ~cfg
-    ~oracle wl =
-  let reads, writes = touched_sectors ~cfg wl in
-  let injections = plan ~reads ~writes in
-  let planned = Array.length injections in
-  let last =
-    match max_injections with
-    | Some m -> min (max m 0) planned
-    | None -> planned
-  in
-  let verdicts =
-    if not fail_fast then
-      Array.to_list
-        (Su_util.Pool.map ~jobs last (fun i ->
-             run_one ~cfg ~spares ~oracle wl injections.(i)))
-    else begin
-      let acc = ref [] and stop = ref false and start = ref 0 in
-      while (not !stop) && !start < last do
-        let n = min fail_fast_chunk (last - !start) in
-        let base = !start in
-        let chunk =
-          Su_util.Pool.map ~jobs n (fun i ->
-              run_one ~cfg ~spares ~oracle wl injections.(base + i))
-        in
-        Array.iter
-          (fun v ->
-            if not !stop then begin
-              acc := v :: !acc;
-              if not (cv_clean v) then stop := true
-            end)
-          chunk;
-        start := base + n
-      done;
-      List.rev !acc
-    end
-  in
-  summarize ~cfg ~workload:wl.Explorer.wl_name ~reads:(Array.length reads)
-    ~writes:(Array.length writes) ~planned verdicts

@@ -2,9 +2,9 @@
     class on every sector a workload touches — checksums on — and
     demand detect-and-repair or fail-clean.
 
-    The integrity analogue of {!Faultsweep}. One fault-free recording
-    run splits the workload's touched sectors into read-touched and
-    write-touched sets; the sweep re-runs the workload once per
+    The integrity analogue of {!Faultsweep}, a planner on
+    {!Campaign}. One fault-free recording run splits the workload's
+    touched sectors into read-touched and write-touched sets; the sweep re-runs the workload once per
     (sector, class) pair — a bit-flipped read on each read-touched
     sector, a lost and a misdirected write on each write-touched one —
     and checks every run against a three-way contract:
@@ -44,25 +44,15 @@ val plan : reads:int array -> writes:int array -> injection array
     misdirected writes over [writes] (victim = next write-touched
     sector, wrapping; no distinct victim degrades to lost). *)
 
-type outcome =
-  | Completed
-  | Failed_typed of string
-  | Escaped of string
-
-val outcome_name : outcome -> string
-
 type verdict = {
   cv_sector : int;
   cv_class : silent_class;
   cv_victim : int;
-  cv_outcome : outcome;
+  cv_outcome : Campaign.outcome;
   cv_injected : bool;  (** the one-shot fault actually fired *)
   cv_detected : int;  (** checksum mismatches the run observed *)
   cv_repaired : int;  (** fragments the online ladder healed *)
-  cv_pre_violations : int;
-  cv_repair_converged : bool;
-  cv_post_violations : int;
-  cv_remount_ok : bool;
+  cv_judged : Campaign.judgement;
   cv_divergences : int;  (** model-oracle mismatches (Completed runs) *)
 }
 
@@ -115,8 +105,7 @@ val sweep :
   oracle:(Su_fstypes.Types.cell array -> string list) ->
   Explorer.workload ->
   summary
-(** The full campaign. [jobs] only parallelises ([Su_util.Pool]);
-    verdicts and summary are byte-identical at any value. [spares]
-    (default 64) provisions the remap pool of every injected run.
-    [max_injections] caps the plan prefix; [fail_fast] stops after
-    the chunk containing the first violation. *)
+(** The full campaign, fanned out by {!Campaign.fan_out} ([jobs],
+    [fail_fast]; verdicts and summary are byte-identical at any
+    [jobs] value). [spares] (default 64) provisions the remap pool of
+    every injected run. [max_injections] caps the plan prefix. *)

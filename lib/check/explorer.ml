@@ -1,5 +1,4 @@
 open Su_fstypes
-open Su_sim
 open Su_fs
 
 (* --- workloads ------------------------------------------------------- *)
@@ -126,15 +125,7 @@ let record ~cfg wl =
   let deltas = ref [] in
   Su_disk.Disk.set_delta_observer w.Fs.disk (fun ~lbn ~pre ~post ->
       deltas := Delta.v ~lbn ~pre ~post :: !deltas);
-  let controller () =
-    let h = Proc.spawn w.Fs.engine ~name:"workload" (fun () -> wl.wl_run w.Fs.st) in
-    Proc.join_all w.Fs.engine [ h ];
-    Fs.stop w;
-    Su_driver.Driver.quiesce w.Fs.driver;
-    Engine.stop w.Fs.engine
-  in
-  ignore (Proc.spawn w.Fs.engine ~name:"controller" controller);
-  Engine.run w.Fs.engine;
+  Campaign.expect_completed (Campaign.run_workload w wl.wl_run);
   { rec_initial = initial; rec_deltas = Array.of_list (List.rev !deltas) }
 
 (* --- per-state verification ------------------------------------------ *)
@@ -156,43 +147,6 @@ type verdict = {
   v_nested : nested option;  (** crash-during-recovery sub-sweep *)
 }
 
-let check_exposure_of cfg =
-  match cfg.Fs.scheme with
-  | Fs.Journaled _ -> false
-  | Fs.Conventional | Fs.Scheduler_flag | Fs.Scheduler_chains _
-  | Fs.Soft_updates | Fs.No_order ->
-    cfg.Fs.alloc_init
-
-(* Remount the (repaired) image and keep living in it: a directory
-   create, file writes, a rename and a sync must all succeed, and the
-   image must still check out clean afterwards. *)
-let remount_and_continue ~cfg image =
-  try
-    let w = Fs.mount_image cfg image in
-    let done_ = ref false in
-    let controller () =
-      let d = "/crashsweep.d" in
-      Fsops.mkdir w.Fs.st d;
-      Fsops.create w.Fs.st (d ^ "/probe");
-      Fsops.append w.Fs.st (d ^ "/probe") ~bytes:3072;
-      Fsops.rename w.Fs.st ~src:(d ^ "/probe") ~dst:(d ^ "/probe2");
-      Fsops.sync w.Fs.st;
-      Fs.stop w;
-      Su_driver.Driver.quiesce w.Fs.driver;
-      done_ := true;
-      Engine.stop w.Fs.engine
-    in
-    ignore (Proc.spawn w.Fs.engine ~name:"continue" controller);
-    Engine.run w.Fs.engine;
-    !done_
-    &&
-    let final = Su_disk.Disk.image_snapshot w.Fs.disk in
-    Fs.recover_image cfg final;
-    Fsck.ok
-      (Fsck.check ~geom:cfg.Fs.geom ~image:final
-         ~check_exposure:(check_exposure_of cfg))
-  with _ -> false
-
 (* Re-crash recovery inside its own write stream. [base] is the crash
    image before any recovery ran; [events] the (lbn, pre, post) cell
    writes the outer recovery pipeline issued against it, in order. For
@@ -212,21 +166,25 @@ let nested_verify ?max_boundaries ~cfg base events =
   let cur = Delta.cursor ~initial:base ~log in
   let n = Array.length log in
   let last = match max_boundaries with Some m -> min (max m 0) n | None -> n in
-  let check_exposure = check_exposure_of cfg in
+  let exposure = Campaign.check_exposure cfg in
   let unrecovered = ref 0 and unsettled = ref 0 in
   for k = 0 to last do
     Delta.seek cur k;
     let img = Array.map Types.copy_cell (Delta.image cur) in
     (* round one: recovery over its own partial effects must settle *)
     Fs.recover_image cfg img;
-    let outcome = Fsck.repair ~geom:cfg.Fs.geom ~image:img ~check_exposure () in
+    let outcome =
+      Fsck.repair ~geom:cfg.Fs.geom ~image:img ~check_exposure:exposure ()
+    in
     if not (outcome.Fsck.converged && Fsck.ok outcome.Fsck.final) then
       incr unrecovered;
     (* round two: the fixed point — nothing left to change *)
     let r2 = Imglog.recorder () in
     let observer = Imglog.observe r2 in
     Fs.recover_image ~observer cfg img;
-    ignore (Fsck.repair ~observer ~geom:cfg.Fs.geom ~image:img ~check_exposure ());
+    ignore
+      (Fsck.repair ~observer ~geom:cfg.Fs.geom ~image:img
+         ~check_exposure:exposure ());
     if Imglog.count r2 > 0 then incr unsettled
   done;
   {
@@ -244,29 +202,25 @@ let verify_state ?(nested = false) ?nested_max_boundaries ~cfg ~boundary ~torn
   let base = if nested then Some (Array.copy image) else None in
   let recovery_log = Imglog.recorder () in
   let observer = if nested then Some (Imglog.observe recovery_log) else None in
-  (* journaled configurations replay the log before checking, exactly
-     as mount-time recovery would *)
-  Fs.recover_image ?observer cfg image;
-  let check_exposure = check_exposure_of cfg in
-  let pre = Fsck.check ~geom:cfg.Fs.geom ~image ~check_exposure in
-  let outcome = Fsck.repair ?observer ~geom:cfg.Fs.geom ~image ~check_exposure () in
-  let v_nested =
-    match base with
-    | None -> None
-    | Some base ->
-      Some
-        (nested_verify ?max_boundaries:nested_max_boundaries ~cfg base
-           (Imglog.events recovery_log))
+  (* a crash state always gets the full tail: repair, then remount
+     under the crash's own config *)
+  let j =
+    Campaign.judge ?observer ~campaign:"crashsweep" ~cfg ~remount_cfg:cfg
+      (Campaign.Failed_typed "crash") image
   in
-  let remount_ok = remount_and_continue ~cfg image in
   {
     v_boundary = boundary;
     v_torn = torn;
-    v_pre_violations = List.length pre.Fsck.violations;
-    v_repair_converged = outcome.Fsck.converged;
-    v_post_violations = List.length outcome.Fsck.final.Fsck.violations;
-    v_remount_ok = remount_ok;
-    v_nested;
+    v_pre_violations = j.Campaign.pre_violations;
+    v_repair_converged = j.Campaign.repair_converged;
+    v_post_violations = j.Campaign.post_violations;
+    v_remount_ok = j.Campaign.remount_ok;
+    v_nested =
+      Option.map
+        (fun base ->
+          nested_verify ?max_boundaries:nested_max_boundaries ~cfg base
+            (Imglog.events recovery_log))
+        base;
   }
 
 (* --- the sweep ------------------------------------------------------- *)
@@ -340,7 +294,7 @@ let sweep_recording ?torn ?(jobs = 1) ?max_boundaries ?nested
      merged by job index: verdict order — and therefore every digest
      or table derived from it — is identical at any [jobs] value. *)
   let verdicts =
-    Su_util.Pool.map_with ~jobs
+    Campaign.fan_out ~jobs
       ~init:(fun () -> Delta.cursor ~initial:r.rec_initial ~log:r.rec_deltas)
       (Array.length states)
       (fun cur i ->
@@ -348,7 +302,6 @@ let sweep_recording ?torn ?(jobs = 1) ?max_boundaries ?nested
         verify_state ?nested ?nested_max_boundaries ~cfg ~boundary ~torn
           (materialize cur state))
   in
-  let verdicts = Array.to_list verdicts in
   let count p = List.length (List.filter p verdicts) in
   let nsum f =
     List.fold_left
@@ -392,33 +345,15 @@ type shakedown = {
    absorbs the faults with retries, and the final image is clean. *)
 let fault_shakedown ~cfg wl =
   let w = Fs.make cfg in
-  let completed = ref false in
-  let controller () =
-    let h = Proc.spawn w.Fs.engine ~name:"workload" (fun () -> wl.wl_run w.Fs.st) in
-    Proc.join_all w.Fs.engine [ h ];
-    Fs.stop w;
-    Su_driver.Driver.quiesce w.Fs.driver;
-    completed := true;
-    Engine.stop w.Fs.engine
-  in
-  ignore (Proc.spawn w.Fs.engine ~name:"controller" controller);
-  Engine.run w.Fs.engine;
+  (* a run the stack could not ride out is an error, not a table row *)
+  Campaign.expect_completed (Campaign.run_workload w wl.wl_run);
   let tr = Su_driver.Driver.trace w.Fs.driver in
-  let consistent =
-    if not !completed then false
-    else begin
-      let image = Su_disk.Disk.image_snapshot w.Fs.disk in
-      Fs.recover_image cfg image;
-      Fsck.ok
-        (Fsck.check ~geom:cfg.Fs.geom ~image
-           ~check_exposure:(check_exposure_of cfg))
-    end
-  in
   {
     f_injected = Su_disk.Disk.faults_injected w.Fs.disk;
     f_retries = Su_driver.Trace.io_retries tr;
     f_failures = Su_driver.Trace.io_failures tr;
     f_cache_failures = Su_cache.Bcache.io_failures w.Fs.cache;
-    f_completed = !completed;
-    f_consistent = consistent;
+    f_completed = true;
+    f_consistent =
+      Campaign.check_clean cfg (Su_disk.Disk.image_snapshot w.Fs.disk);
   }

@@ -52,10 +52,11 @@ val rec_writes : recording -> (int * Types.cell array) array
     view of the delta log, for consumers that only replay forward. *)
 
 val record : cfg:Su_fs.Fs.config -> workload -> recording
-(** Run the workload once (no faults) and log every write the disk
-    applies — payload and replaced cells both. The run is driven to
-    completion and quiesced, so the log covers all deferred writes
-    too. *)
+(** Run the workload once and log every write the disk applies —
+    payload and replaced cells both. The run is driven to completion
+    and quiesced ({!Campaign.run_workload}), so the log covers all
+    deferred writes too.
+    @raise Failure if the workload does not complete. *)
 
 (** Result of re-crashing the recovery pipeline inside its own write
     stream (the nested, crash-during-recovery sweep). *)
@@ -181,4 +182,5 @@ val fault_shakedown : cfg:Su_fs.Fs.config -> workload -> shakedown
 (** Run the workload with whatever fault model [cfg] carries (pair
     with {!Su_disk.Fault.transient}) and report how the stack coped.
     A healthy result completes, is consistent, and absorbed every
-    transient with retries ([f_failures = 0]). *)
+    transient with retries ([f_failures = 0]).
+    @raise Failure if the workload does not complete. *)

@@ -1,274 +1,85 @@
-open Su_sim
 open Su_fs
 
 (* Systematic permanent-fault campaign (the fault-tolerance analogue
-   of the crash sweep in {!Explorer}). One fault-free recording run
-   discovers every distinct media sector a workload touches; the sweep
-   then re-runs the workload once per sector with that sector
-   permanently bad and asserts survive-or-fail-clean: either every
-   operation completes (the remap/replica machinery absorbed the
-   fault) or the run stops with a typed error and the surviving
-   on-disk state is fsck-repairable and remountable. Anything else —
-   an untyped exception, a hang, an unrepairable image — is a
-   violation. *)
+   of the crash sweep in {!Explorer}), a planner on {!Campaign}: one
+   fault-free run discovers every distinct media sector a workload
+   touches; the workload is then re-run once per sector with that
+   sector permanently bad, and each run must survive or fail clean. *)
 
-(* --- touched-sector discovery ---------------------------------------- *)
-
-(* Run the workload once, fault-free, with driver trace records kept;
-   the touched set is the union of every request's [lbn, lbn+nfrags)
-   extent, reads included (a latent bad sector under a read-only
-   fragment is just as real). Ascending order, so sweep output is
-   deterministic. *)
+(* Reads and writes both: a latent bad sector under a read-only
+   fragment is just as real. *)
 let touched_sectors ~cfg wl =
-  let cfg =
-    { cfg with Fs.fault = Su_disk.Fault.none; keep_trace_records = true }
-  in
-  let w = Fs.make cfg in
-  let controller () =
-    let h =
-      Proc.spawn w.Fs.engine ~name:"workload" (fun () ->
-          wl.Explorer.wl_run w.Fs.st)
-    in
-    Proc.join_all w.Fs.engine [ h ];
-    Fs.stop w;
-    Su_driver.Driver.quiesce w.Fs.driver;
-    Engine.stop w.Fs.engine
-  in
-  ignore (Proc.spawn w.Fs.engine ~name:"controller" controller);
-  Engine.run w.Fs.engine;
-  let touched = Hashtbl.create 1024 in
-  List.iter
-    (fun r ->
-      for i = 0 to r.Su_driver.Trace.r_nfrags - 1 do
-        Hashtbl.replace touched (r.Su_driver.Trace.r_lbn + i) ()
-      done)
-    (Su_driver.Trace.records (Su_driver.Driver.trace w.Fs.driver));
-  let sectors = Hashtbl.fold (fun s () acc -> s :: acc) touched [] in
-  Array.of_list (List.sort compare sectors)
-
-(* --- one run under a permanent fault --------------------------------- *)
-
-type outcome =
-  | Completed  (** every operation finished; the fault was absorbed *)
-  | Failed_typed of string
-      (** the run stopped with a typed error (Eio / Erofs / Io_error /
-          Mount_failure) — legal iff the surviving state is clean *)
-  | Escaped of string
-      (** an untyped exception or a hang: always a violation *)
-
-let outcome_name = function
-  | Completed -> "completed"
-  | Failed_typed _ -> "failed-typed"
-  | Escaped _ -> "escaped"
+  let reads, writes = Campaign.touched_sectors ~cfg wl.Explorer.wl_run in
+  Array.of_list
+    (List.sort_uniq compare (Array.to_list reads @ Array.to_list writes))
 
 type verdict = {
   fv_sector : int;
-  fv_outcome : outcome;
-  fv_remaps : int;  (** bad-sector remaps performed during the run *)
-  fv_pre_violations : int;  (** fsck violations before repair *)
-  fv_repair_converged : bool;
-  fv_post_violations : int;  (** violations surviving repair *)
-  fv_remount_ok : bool;  (** repaired image remounted, ran on, stayed clean *)
+  fv_outcome : Campaign.outcome;
+  fv_remaps : int;
+  fv_judged : Campaign.judgement;
 }
 
-(* Survive-or-fail-clean, per verdict. A completed run must leave a
-   state with nothing to repair (the workloads end in sync); a typed
-   failure may leave a crash-boundary-like state, which must repair,
-   remount and stay clean; an escape is never acceptable. *)
-let fv_clean v =
-  match v.fv_outcome with
-  | Completed -> v.fv_pre_violations = 0 && v.fv_remount_ok
-  | Failed_typed _ ->
-    v.fv_repair_converged && v.fv_post_violations = 0 && v.fv_remount_ok
-  | Escaped _ -> false
-
-let check_exposure_of cfg =
-  match cfg.Fs.scheme with
-  | Fs.Journaled _ -> false
-  | Fs.Conventional | Fs.Scheduler_flag | Fs.Scheduler_chains _
-  | Fs.Soft_updates | Fs.No_order ->
-    cfg.Fs.alloc_init
-
-let typed_failure = function
-  | Fsops.Eio msg -> Some ("Eio: " ^ msg)
-  | Fsops.Erofs msg -> Some ("Erofs: " ^ msg)
-  | Su_cache.Bcache.Io_error e ->
-    Some ("Io_error: " ^ Su_disk.Fault.error_to_string e)
-  | Fs.Mount_failure msg -> Some ("Mount_failure: " ^ msg)
-  | _ -> None
-
-(* Remount the repaired logical image on a perfect device and keep
-   living in it (mirrors the crash sweep's continuation probe). *)
-let remount_and_continue ~cfg image =
-  let cfg =
-    { cfg with
-      Fs.fault = Su_disk.Fault.none;
-      spare_frags = 0;
-      scrub_interval = 0.0 }
-  in
-  try
-    let w = Fs.mount_image cfg image in
-    let done_ = ref false in
-    let controller () =
-      let d = "/faultsweep.d" in
-      Fsops.mkdir w.Fs.st d;
-      Fsops.create w.Fs.st (d ^ "/probe");
-      Fsops.append w.Fs.st (d ^ "/probe") ~bytes:3072;
-      Fsops.rename w.Fs.st ~src:(d ^ "/probe") ~dst:(d ^ "/probe2");
-      Fsops.sync w.Fs.st;
-      Fs.stop w;
-      Su_driver.Driver.quiesce w.Fs.driver;
-      done_ := true;
-      Engine.stop w.Fs.engine
-    in
-    ignore (Proc.spawn w.Fs.engine ~name:"continue" controller);
-    Engine.run w.Fs.engine;
-    !done_
-    &&
-    let final = Su_disk.Disk.image_snapshot w.Fs.disk in
-    Fs.recover_image cfg final;
-    Fsck.ok
-      (Fsck.check ~geom:cfg.Fs.geom ~image:final
-         ~check_exposure:(check_exposure_of cfg))
-  with _ -> false
+let fv_clean v = Campaign.judged_clean v.fv_outcome v.fv_judged
 
 let run_one ~cfg ~spares wl sector =
-  let run_cfg =
+  let cfg =
     { cfg with
       Fs.fault = { Su_disk.Fault.none with bad_sectors = [ sector ] };
       spare_frags = spares;
       keep_trace_records = false }
   in
-  let w = Fs.make run_cfg in
-  let outcome = ref (Escaped "hang: event queue drained mid-run") in
-  let controller () =
-    (try
-       wl.Explorer.wl_run w.Fs.st;
-       outcome := Completed
-     with e ->
-       (match typed_failure e with
-        | Some msg -> outcome := Failed_typed msg
-        | None -> outcome := Escaped (Printexc.to_string e)));
-    (* quiesce whatever survives; a typed flush failure here does not
-       change the verdict already taken *)
-    (try
-       Fs.stop w;
-       Su_driver.Driver.quiesce w.Fs.driver
-     with e -> if typed_failure e = None then raise e);
-    Engine.stop w.Fs.engine
-  in
-  ignore (Proc.spawn w.Fs.engine ~name:"controller" controller);
-  (try Engine.run w.Fs.engine
-   with Proc.Process_failure (_, e) ->
-     outcome :=
-       (match typed_failure e with
-        | Some msg -> Failed_typed msg
-        | None -> Escaped (Printexc.to_string e)));
+  let w = Fs.make cfg in
+  let outcome = Campaign.run_workload w wl.Explorer.wl_run in
   (* the remap table is metadata: verify on the logical view, exactly
      what a replacement drive would be rebuilt with *)
-  let image = Su_disk.Disk.logical_snapshot w.Fs.disk in
-  Fs.recover_image run_cfg image;
-  let check_exposure = check_exposure_of run_cfg in
-  let pre = Fsck.check ~geom:run_cfg.Fs.geom ~image ~check_exposure in
-  let outcome_v = !outcome in
-  let repaired, converged, post =
-    match outcome_v with
-    | Completed ->
-      (* nothing should need repair; keep the checked image *)
-      (image, true, List.length pre.Fsck.violations)
-    | Failed_typed _ | Escaped _ ->
-      let o = Fsck.repair ~geom:run_cfg.Fs.geom ~image ~check_exposure () in
-      (image, o.Fsck.converged, List.length o.Fsck.final.Fsck.violations)
-  in
-  let remount_ok =
-    match outcome_v with
-    | Escaped _ -> false  (* already a violation; skip the probe *)
-    | Completed | Failed_typed _ -> remount_and_continue ~cfg:run_cfg repaired
+  let judged =
+    Campaign.judge ~campaign:"faultsweep" ~cfg
+      ~remount_cfg:(Campaign.clean_device cfg) outcome
+      (Su_disk.Disk.logical_snapshot w.Fs.disk)
   in
   {
     fv_sector = sector;
-    fv_outcome = outcome_v;
+    fv_outcome = outcome;
     fv_remaps = Su_disk.Disk.remaps w.Fs.disk;
-    fv_pre_violations = List.length pre.Fsck.violations;
-    fv_repair_converged = converged;
-    fv_post_violations = post;
-    fv_remount_ok = remount_ok;
+    fv_judged = judged;
   }
-
-(* --- the campaign ----------------------------------------------------- *)
 
 type summary = {
   fs_scheme : Fs.scheme_kind;
   fs_workload : string;
-  fs_sectors : int;  (** distinct sectors the workload touches *)
-  fs_swept : int;  (** sectors actually injected (caps, fail-fast) *)
+  fs_sectors : int;
+  fs_swept : int;
   fs_completed : int;
   fs_failed_typed : int;
   fs_escaped : int;
-  fs_remaps : int;  (** remaps performed across all runs *)
-  fs_violations : int;  (** verdicts breaking survive-or-fail-clean *)
-  fs_verdicts : verdict list;  (** per-sector detail, ascending sector *)
+  fs_remaps : int;
+  fs_violations : int;
+  fs_verdicts : verdict list;
 }
 
 let ok s = s.fs_escaped = 0 && s.fs_violations = 0
 
-(* Fail-fast chunk size: fixed (never derived from [jobs]) so the
-   verdict list — and any digest of it — is identical at any [--jobs]
-   value: always every verdict up to and including the first
-   violation. *)
-let fail_fast_chunk = 8
-
-let summarize ~cfg ~workload ~nsectors verdicts =
-  let count p = List.length (List.filter p verdicts) in
+let sweep ?jobs ?(spares = 64) ?max_sectors ?fail_fast ~cfg wl =
+  let sectors = touched_sectors ~cfg wl in
+  let verdicts =
+    Campaign.fan_out ?jobs ?cap:max_sectors ?fail_fast ~clean:fv_clean
+      ~init:ignore (Array.length sectors) (fun () i ->
+        run_one ~cfg ~spares wl sectors.(i))
+  in
+  let completed, failed_typed, escaped =
+    Campaign.outcome_counts (List.map (fun v -> v.fv_outcome) verdicts)
+  in
   {
     fs_scheme = cfg.Fs.scheme;
-    fs_workload = workload;
-    fs_sectors = nsectors;
+    fs_workload = wl.Explorer.wl_name;
+    fs_sectors = Array.length sectors;
     fs_swept = List.length verdicts;
-    fs_completed = count (fun v -> v.fv_outcome = Completed);
-    fs_failed_typed =
-      count (fun v -> match v.fv_outcome with Failed_typed _ -> true | _ -> false);
-    fs_escaped =
-      count (fun v -> match v.fv_outcome with Escaped _ -> true | _ -> false);
+    fs_completed = completed;
+    fs_failed_typed = failed_typed;
+    fs_escaped = escaped;
     fs_remaps = List.fold_left (fun a v -> a + v.fv_remaps) 0 verdicts;
-    fs_violations = count (fun v -> not (fv_clean v));
+    fs_violations =
+      List.length (List.filter (fun v -> not (fv_clean v)) verdicts);
     fs_verdicts = verdicts;
   }
-
-let sweep ?(jobs = 1) ?(spares = 64) ?max_sectors ?(fail_fast = false) ~cfg wl =
-  let sectors = touched_sectors ~cfg wl in
-  let nsectors = Array.length sectors in
-  let last =
-    match max_sectors with
-    | Some m -> min (max m 0) nsectors
-    | None -> nsectors
-  in
-  let verdicts =
-    if not fail_fast then
-      Array.to_list
-        (Su_util.Pool.map ~jobs last (fun i ->
-             run_one ~cfg ~spares wl sectors.(i)))
-    else begin
-      (* chunked: stop after the chunk containing the first violation,
-         truncated just past it *)
-      let acc = ref [] and stop = ref false and start = ref 0 in
-      while (not !stop) && !start < last do
-        let n = min fail_fast_chunk (last - !start) in
-        let base = !start in
-        let chunk =
-          Su_util.Pool.map ~jobs n (fun i ->
-              run_one ~cfg ~spares wl sectors.(base + i))
-        in
-        Array.iter
-          (fun v ->
-            if not !stop then begin
-              acc := v :: !acc;
-              if not (fv_clean v) then stop := true
-            end)
-          chunk;
-        start := base + n
-      done;
-      List.rev !acc
-    end
-  in
-  summarize ~cfg ~workload:wl.Explorer.wl_name ~nsectors verdicts

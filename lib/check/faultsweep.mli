@@ -1,10 +1,11 @@
 (** Systematic permanent-fault campaign.
 
-    The fault-tolerance analogue of the crash sweep in {!Explorer}:
-    one fault-free recording run discovers every distinct media sector
-    a workload touches (reads included), then the workload is re-run
-    once per sector with that sector permanently bad — and a
-    configurable spare pool for the remap machinery to absorb it with.
+    The fault-tolerance analogue of the crash sweep in {!Explorer}, a
+    planner on {!Campaign}: one fault-free recording run discovers
+    every distinct media sector a workload touches (reads included),
+    then the workload is re-run once per sector with that sector
+    permanently bad — and a configurable spare pool for the remap
+    machinery to absorb it with.
     Each run must {e survive or fail clean}: either every operation
     completes, or the run stops with a typed error
     ({!Su_fs.Fsops.Eio} / [Erofs], {!Su_cache.Bcache.Io_error},
@@ -13,33 +14,18 @@
     or an unrepairable image is a violation. *)
 
 val touched_sectors : cfg:Su_fs.Fs.config -> Explorer.workload -> int array
-(** Distinct fragments the workload's driver requests cover, from one
-    fault-free run with trace records kept; ascending. *)
-
-type outcome =
-  | Completed  (** every operation finished; the fault was absorbed *)
-  | Failed_typed of string
-      (** the run stopped with a typed error — legal iff the surviving
-          state is clean *)
-  | Escaped of string
-      (** an untyped exception or a hang: always a violation *)
-
-val outcome_name : outcome -> string
+(** Distinct fragments the workload's driver requests cover, reads and
+    writes both, from one fault-free run; ascending. *)
 
 type verdict = {
   fv_sector : int;
-  fv_outcome : outcome;
+  fv_outcome : Campaign.outcome;
   fv_remaps : int;  (** bad-sector remaps performed during the run *)
-  fv_pre_violations : int;  (** fsck violations before repair *)
-  fv_repair_converged : bool;
-  fv_post_violations : int;  (** violations surviving repair *)
-  fv_remount_ok : bool;  (** repaired image remounted, ran on, stayed clean *)
+  fv_judged : Campaign.judgement;
 }
 
 val fv_clean : verdict -> bool
-(** The survive-or-fail-clean predicate: completed runs must have
-    nothing to repair and remount cleanly; typed failures must repair,
-    remount and stay clean; escapes never pass. *)
+(** The survive-or-fail-clean predicate ({!Campaign.judged_clean}). *)
 
 val run_one :
   cfg:Su_fs.Fs.config ->
@@ -48,9 +34,10 @@ val run_one :
   int ->
   verdict
 (** Run the workload once with the given sector permanently bad and
-    [spares] spare fragments, then verify the surviving state (on the
+    [spares] spare fragments, then judge the surviving state (on the
     {e logical} image — remapped content resolved to home addresses,
-    as a rebuilt replacement drive would hold it). *)
+    as a rebuilt replacement drive would hold it), remounting on a
+    perfect device. *)
 
 type summary = {
   fs_scheme : Su_fs.Fs.scheme_kind;
@@ -76,11 +63,8 @@ val sweep :
   cfg:Su_fs.Fs.config ->
   Explorer.workload ->
   summary
-(** The campaign: one run per touched sector. [jobs] > 1 fans the
-    per-sector runs out over a {!Su_util.Pool} of that many domains
-    ([0] = all cores); verdict order and every count are identical at
-    any [jobs] value. [spares] (default 64) sizes each run's spare
-    pool. [max_sectors] caps the sectors injected (CI smoke).
-    [fail_fast] stops after the first violating verdict — the verdict
-    list is then every verdict up to and including it, still
-    independent of [jobs]. *)
+(** The campaign: one run per touched sector, fanned out by
+    {!Campaign.fan_out} ([jobs], [fail_fast]; verdict order and every
+    count are identical at any [jobs] value). [spares] (default 64)
+    sizes each run's spare pool. [max_sectors] caps the sectors
+    injected (smoke runs). *)

@@ -1,7 +1,7 @@
 (* Zero-allocation event core.
 
    The seed engine boxed every event as a {time; seq; callback} record
-   in a generic [Su_util.Heap.t] driven by polymorphic [compare], and
+   in a generic binary heap driven by polymorphic [compare], and
    the run loop paid an option allocation per peek/pop. This version
    keeps the queue in flat parallel arrays — a [floatarray] for times
    (unboxed), int arrays for the FIFO sequence numbers and slot ids —

@@ -7,13 +7,7 @@ open Su_fstypes
 open Su_fs
 open Su_check
 
-let sweep_cfg scheme =
-  {
-    (Fs.config ~scheme ()) with
-    Fs.geom = Geom.v ~mb:32 ~cg_mb:16 ~inodes_per_cg:1024 ();
-    cache_mb = 4;
-    journal_mb = 2;
-  }
+let sweep_cfg = Campaign.compact_cfg
 
 let show_failures s =
   List.iter
@@ -266,6 +260,49 @@ let test_sweep_jobs_deterministic () =
   Alcotest.(check int) "verdict count" s1.Explorer.s_states
     (List.length s2.Explorer.s_verdicts)
 
+(* --- the campaign fan-out ----------------------------------------------- *)
+
+let test_fan_out_fail_fast () =
+  (* a synthetic runner whose verdict is its index, failing at [k];
+     [runs] counts invocations so whole-chunk granularity shows *)
+  let fan ~jobs ?cap ?(fail_fast = true) ~k n =
+    let runs = Atomic.make 0 in
+    let vs =
+      Campaign.fan_out ~jobs ?cap ~fail_fast ~clean:(fun v -> v <> k)
+        ~init:ignore n (fun () i ->
+          Atomic.incr runs;
+          i)
+    in
+    (vs, Atomic.get runs)
+  in
+  let upto n = List.init n Fun.id in
+  let chunk = Campaign.fail_fast_chunk in
+  List.iter
+    (fun jobs ->
+      let name what = Printf.sprintf "%s (jobs %d)" what jobs in
+      List.iter
+        (fun k ->
+          let vs, runs = fan ~jobs ~k 30 in
+          Alcotest.(check (list int))
+            (name (Printf.sprintf "stops at index %d" k))
+            (upto (k + 1)) vs;
+          Alcotest.(check int)
+            (name "runs whole chunks only")
+            (min 30 ((k / chunk + 1) * chunk))
+            runs)
+        [ 0; 5; chunk - 1; chunk; 19; 29 ];
+      Alcotest.(check (list int)) (name "no failure, whole plan") (upto 30)
+        (fst (fan ~jobs ~k:(-1) 30));
+      Alcotest.(check (list int)) (name "cap before the failure") (upto 10)
+        (fst (fan ~jobs ~cap:10 ~k:15 30));
+      Alcotest.(check (list int)) (name "cap past the failure") (upto 16)
+        (fst (fan ~jobs ~cap:20 ~k:15 30));
+      Alcotest.(check (list int)) (name "cap zero") []
+        (fst (fan ~jobs ~cap:0 ~k:3 30));
+      Alcotest.(check (list int)) (name "cap, no fail-fast") (upto 12)
+        (fst (fan ~jobs ~cap:12 ~fail_fast:false ~k:3 30)))
+    [ 1; 2; 3 ]
+
 (* --- fsck repair convergence under random corruption ------------------- *)
 
 let base_image =
@@ -453,6 +490,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_delta_apply_undo;
     Alcotest.test_case "sweep deterministic across jobs" `Quick
       test_sweep_jobs_deterministic;
+    Alcotest.test_case "campaign fan-out fails fast at any jobs" `Quick
+      test_fan_out_fail_fast;
     Alcotest.test_case "crash_points enumerates completions" `Quick
       test_crash_points_enumerates_completions;
     Alcotest.test_case "torn variants mid-write" `Quick

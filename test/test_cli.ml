@@ -136,6 +136,27 @@ let test_faultsweep_smoke () =
         --spares 8 >/dev/null 2>&1"
        metasim)
 
+let test_sweep_flags_validate () =
+  (* each of these used to crash with an uncaught exception, or to
+     clamp to zero and report a pass that checked nothing *)
+  List.iter
+    (fun args ->
+      check_exit (args ^ " is a CLI error") 124
+        (sh "%s %s >/dev/null 2>&1" metasim args))
+    [
+      "faultsweep --jobs=-4";
+      "crashsweep --jobs=-1";
+      "corruptsweep --jobs=-2";
+      "fuzz --jobs=-1";
+      "exp --jobs=-1";
+      "loadgen --jobs=-1";
+      "crashsweep --faults --fault-rate 1.5";
+      "faultsweep --max-sectors=-3";
+      "crashsweep --max-boundaries=-3";
+      "corruptsweep --max-injections=-1";
+      "fuzz --max-boundaries=-2";
+    ]
+
 let test_faultsweep_no_valid_workloads () =
   check_exit "all-unknown workloads is an error" 2
     (sh "%s faultsweep -w bogus >/dev/null 2>&1" metasim)
@@ -257,6 +278,8 @@ let suite =
     Alcotest.test_case "run: bad sector exits typed" `Quick
       test_run_bad_sector_exits_typed;
     Alcotest.test_case "faultsweep: smoke campaign" `Quick test_faultsweep_smoke;
+    Alcotest.test_case "sweeps: out-of-range flags rejected" `Quick
+      test_sweep_flags_validate;
     Alcotest.test_case "faultsweep: no valid workloads" `Quick
       test_faultsweep_no_valid_workloads;
     Alcotest.test_case "run --json parses" `Quick test_run_json_parses;

@@ -9,15 +9,7 @@ module Faultsweep = Su_check.Faultsweep
 module Explorer = Su_check.Explorer
 module Fuzz = Su_workload.Fuzz
 
-let compact_geom = Geom.v ~mb:32 ~cg_mb:16 ~inodes_per_cg:1024 ()
-
-let compact_cfg ?(scheme = Fs.Soft_updates) () =
-  {
-    (Fs.config ~scheme ()) with
-    Fs.geom = compact_geom;
-    cache_mb = 4;
-    journal_mb = 2;
-  }
+let compact_cfg () = Su_check.Campaign.compact_cfg Fs.Soft_updates
 
 (* Run [body] against a fresh world, catching whatever it raises, then
    wind the world down cleanly. *)

@@ -6,13 +6,7 @@ open Su_fstypes
 open Su_fs
 open Su_workload
 
-let fuzz_cfg scheme =
-  {
-    (Fs.config ~scheme ()) with
-    Fs.geom = Geom.v ~mb:32 ~cg_mb:16 ~inodes_per_cg:1024 ();
-    cache_mb = 4;
-    journal_mb = 2;
-  }
+let fuzz_cfg = Su_check.Campaign.compact_cfg
 
 let test_gen_deterministic () =
   let a = Fuzz.gen ~seed:42 ~ops:20 and b = Fuzz.gen ~seed:42 ~ops:20 in

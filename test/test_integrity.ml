@@ -162,13 +162,7 @@ let test_fsck_flags_and_resyncs_csum_mismatch () =
 
 (* --- the campaign ------------------------------------------------------ *)
 
-let sweep_cfg scheme =
-  {
-    (Su_fs.Fs.config ~scheme ()) with
-    Su_fs.Fs.geom = Geom.v ~mb:32 ~cg_mb:16 ~inodes_per_cg:1024 ();
-    cache_mb = 4;
-    journal_mb = 2;
-  }
+let sweep_cfg = Su_check.Campaign.compact_cfg
 
 let run_sweep ~jobs ~scheme ~name ~max_injections =
   let ops =
