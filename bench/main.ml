@@ -15,6 +15,8 @@
                                               # load engine + dir-scale gates
      dune exec bench/main.exe -- --corrupt [--json BENCH_corrupt.json]
                                               # checksum overhead + gates
+     dune exec bench/main.exe -- --fsck [--json BENCH_fsck.json]
+                                              # recovery time vs volume size
      dune exec bench/main.exe -- --list       # available ids *)
 
 let available =
@@ -51,6 +53,10 @@ let usage () =
      \  --volume        compact volume image: mkfs at 1M-inode scale\n\
      \                  (minor words/inode gate), resident bytes/inode\n\
      \                  gate, and the load engine on the big volume\n\
+     \  --fsck          recovery time: fsck check, repair and remount of a\n\
+     \                  crashed soft-updates volume at 64 MB, 256 MB and\n\
+     \                  1 GB (--quick: 64 MB only); gate: check <= 3 us\n\
+     \                  per live inode at 1 GB\n\
      \  --json PATH     write results JSON: experiment tables (the\n\
      \                  document EXPERIMENTS.md specifies), or the\n\
      \                  --hotpaths/--crashsweep perf records\n\
@@ -969,6 +975,132 @@ let run_volume ~quick ~json_path =
   end;
   if !failed then exit 1
 
+(* --- recovery time -------------------------------------------------- *)
+
+(* Recovery wall time against volume size, written to BENCH_fsck.json
+   as flat {bench, layer, metric, value, unit, gate} records. Each size
+   is a soft-updates volume populated by a seeded open-loop Loadgen run
+   and crashed mid-flight; recovery is Fsck.check, Fsck.repair and
+   Fs.mount_image, each timed (median of [reps]) on a fresh copy of the
+   crashed image. The crashed image must check clean and repair must
+   converge to a clean report (exit 1 otherwise). Gate: check at most
+   3 us per live inode at 1 GB. *)
+
+let fsck_sizes ~quick = if quick then [ 64 ] else [ 64; 256; 1024 ]
+let fsck_gate_mb = 1024
+let fsck_gate_us_per_inode = 3.0
+
+let run_fsck ~quick ~json_path =
+  let reps = if quick then 3 else 5 in
+  let median xs =
+    let a = Array.of_list xs in
+    Array.sort compare a;
+    a.(Array.length a / 2)
+  in
+  let failed = ref false in
+  let fail fmt =
+    Printf.ksprintf
+      (fun msg ->
+        failed := true;
+        prerr_endline ("FAIL: " ^ msg))
+      fmt
+  in
+  let records =
+    List.concat_map
+      (fun mb ->
+        let fs_cfg =
+          { (Su_fs.Fs.config ~scheme:Su_fs.Fs.Soft_updates ()) with
+            Su_fs.Fs.geom = Su_fstypes.Geom.v ~mb ();
+            dir_index = true
+          }
+        in
+        let lg_cfg =
+          { (Su_workload.Loadgen.config ~scheme:Su_fs.Fs.Soft_updates ()) with
+            Su_workload.Loadgen.fs_cfg;
+            clients = 2 * mb;
+            rate = 0.05;
+            duration = 300.0;
+            warmup = 0.0;
+            seed = 7
+          }
+        in
+        let crashed =
+          Su_fs.Crash.crash_at (Su_workload.Loadgen.start lg_cfg) 150.0
+        in
+        let geom = fs_cfg.Su_fs.Fs.geom in
+        let check_exposure = Su_check.Campaign.check_exposure fs_cfg in
+        let runs =
+          List.init reps (fun _ ->
+              let image = Array.map Su_fstypes.Types.copy_cell crashed in
+              Gc.full_major ();
+              let t0 = Unix.gettimeofday () in
+              let report = Su_fs.Fsck.check ~geom ~image ~check_exposure in
+              let t1 = Unix.gettimeofday () in
+              let outcome =
+                Su_fs.Fsck.repair ~geom ~image ~check_exposure ()
+              in
+              let t2 = Unix.gettimeofday () in
+              ignore (Su_fs.Fs.mount_image fs_cfg image);
+              let t3 = Unix.gettimeofday () in
+              (report, outcome, t1 -. t0, t2 -. t1, t3 -. t2))
+        in
+        let report, outcome, _, _, _ = List.hd runs in
+        let inodes = report.Su_fs.Fsck.files + report.Su_fs.Fsck.dirs in
+        let med f = median (List.map f runs) in
+        let check_s = med (fun (_, _, c, _, _) -> c) in
+        let repair_s = med (fun (_, _, _, r, _) -> r) in
+        let mount_s = med (fun (_, _, _, _, m) -> m) in
+        let per_inode t = t *. 1e6 /. float_of_int (max 1 inodes) in
+        Printf.printf
+          "%-30s inodes=%-7d check %7.1fms (%5.2f us/inode)  repair %7.1fms \
+           (%5.2f us/inode)  mount %7.1fms\n%!"
+          (Printf.sprintf "fsck-%dmb" mb)
+          inodes (check_s *. 1e3) (per_inode check_s) (repair_s *. 1e3)
+          (per_inode repair_s) (mount_s *. 1e3);
+        if not (Su_fs.Fsck.ok report) then
+          fail "fsck-%dmb: the crashed soft-updates image has %d violations" mb
+            (List.length report.Su_fs.Fsck.violations);
+        if not (outcome.Su_fs.Fsck.converged && Su_fs.Fsck.ok outcome.Su_fs.Fsck.final)
+        then fail "fsck-%dmb: repair did not converge to a clean image" mb;
+        let gate = if mb = fsck_gate_mb then Some fsck_gate_us_per_inode else None in
+        (match gate with
+         | Some g when per_inode check_s > g ->
+           fail "fsck-%dmb: check takes %.2f us per live inode (gate <= %.1f)" mb
+             (per_inode check_s) g
+         | Some _ | None -> ());
+        let record ?gate layer metric unit value =
+          Su_obs.Json.Obj
+            [ ("bench", Su_obs.Json.Str (Printf.sprintf "fsck-%dmb" mb));
+              ("layer", Su_obs.Json.Str layer);
+              ("metric", Su_obs.Json.Str metric);
+              ("value", Su_obs.Json.Float value);
+              ("unit", Su_obs.Json.Str unit);
+              ( "gate",
+                match gate with
+                | None -> Su_obs.Json.Null
+                | Some g -> Su_obs.Json.Obj [ ("max", Su_obs.Json.Float g) ] )
+            ]
+        in
+        [ record "volume" "frags" "count" (float_of_int geom.Su_fstypes.Geom.nfrags);
+          record "volume" "live_inodes" "count" (float_of_int inodes);
+          record "fsck" "check_s" "s" check_s;
+          record ?gate "fsck" "check_us_per_inode" "us" (per_inode check_s);
+          record "fsck" "repair_s" "s" repair_s;
+          record "fsck" "repair_us_per_inode" "us" (per_inode repair_s);
+          record "mount" "mount_image_s" "s" mount_s
+        ])
+      (fsck_sizes ~quick)
+  in
+  (match json_path with
+   | None -> ()
+   | Some path ->
+     let oc = open_out path in
+     output_string oc (Su_obs.Json.to_string_pretty (Su_obs.Json.List records));
+     output_char oc '\n';
+     close_out oc;
+     Printf.printf "# wrote %s\n" path);
+  if !failed then exit 1
+
 (* --- main --------------------------------------------------------------- *)
 
 let () =
@@ -1073,6 +1205,10 @@ let () =
   end;
   if List.mem "--corrupt" args then begin
     run_corrupt ~quick ~json_path:(json_of args);
+    exit 0
+  end;
+  if List.mem "--fsck" args then begin
+    run_fsck ~quick ~json_path:(json_of args);
     exit 0
   end;
   let selected =

@@ -265,10 +265,13 @@ let rebuild_maps ?observer geom image =
     then fpb
     else partial
   in
+  let in_image ptr = ptr > 0 && ptr < Array.length image in
   let indirect_slots ptr =
-    match image.(ptr) with
-    | Types.Meta (Types.Indirect arr) -> Some arr
-    | _ -> None
+    if not (in_image ptr) then None
+    else
+      match image.(ptr) with
+      | Types.Meta (Types.Indirect arr) -> Some arr
+      | _ -> None
   in
   let claim_file (din : Types.dinode) =
     let size = din.Types.size in
@@ -299,10 +302,20 @@ let rebuild_maps ?observer geom image =
       | None -> ()
     end
   in
-  let seen = Hashtbl.create 256 in
+  (* reached inodes, by [inum - Geom.root_inum]; an out-of-range inum
+     names nothing to claim *)
+  let seen = Bytes.make (Geom.total_inodes geom) '\000' in
+  let first_visit inum =
+    if Geom.valid_inum geom inum && Bytes.get seen (inum - Geom.root_inum) = '\000'
+    then begin
+      Bytes.set seen (inum - Geom.root_inum) '\001';
+      true
+    end
+    else false
+  in
   let queue = Queue.create () in
   Queue.add Geom.root_inum queue;
-  Hashtbl.add seen Geom.root_inum ();
+  ignore (first_visit Geom.root_inum);
   while not (Queue.is_empty queue) do
     let dinum = Queue.pop queue in
     match read_dinode dinum with
@@ -313,15 +326,13 @@ let rebuild_maps ?observer geom image =
       if din.Types.ftype = Types.F_dir then begin
         let nblocks = Geom.blocks_of_bytes geom din.Types.size in
         let fetch ptr =
-          if ptr <> 0 then
+          if in_image ptr then
             match image.(ptr) with
             | Types.Meta (Types.Dir entries) ->
               Array.iter
                 (function
                   | Some { Types.name; inum } ->
-                    if name <> "." && name <> ".." && not (Hashtbl.mem seen inum)
-                    then begin
-                      Hashtbl.add seen inum ();
+                    if name <> "." && name <> ".." && first_visit inum then begin
                       match read_dinode inum with
                       | Some child when child.Types.ftype = Types.F_dir ->
                         Queue.add inum queue

@@ -7,6 +7,7 @@ type violation =
   | Nlink_low of { inum : int; nlink : int; refs : int }
   | Exposure of { inum : int; flbn : int; frag : int }
   | Bad_dir of { inum : int; reason : string }
+  | Bad_cg of { cg : int }
   | Csum_mismatch of { frag : int }
 
 type report = {
@@ -33,20 +34,37 @@ let pp_violation ppf = function
       frag
   | Bad_dir { inum; reason } ->
     Format.fprintf ppf "directory %d: %s" inum reason
+  | Bad_cg { cg } ->
+    Format.fprintf ppf "cylinder group %d: unreadable header" cg
   | Csum_mismatch { frag } ->
     Format.fprintf ppf "fragment %d disagrees with its checksum" frag
 
+(* The [Bad_dir] reasons repair answers by rewriting "." and "..". *)
+let missing_dots = "missing \".\" or \"..\""
+let bad_dot = "bad \".\""
+let bad_dotdot = "bad \"..\""
+
+(* The per-inode tables are indexed by [inum - Geom.root_inum] over
+   [Geom.total_inodes]; only valid inums ever index them. *)
 type ctx = {
   geom : Geom.t;
   image : Types.cell array;
   check_exposure : bool;
   mutable violations : violation list;
-  frag_owner : (int, int) Hashtbl.t;  (* fragment -> owning inode *)
-  inode_refs : (int, int) Hashtbl.t;  (* inode -> on-disk references *)
-  live : (int, Types.dinode) Hashtbl.t;  (* reachable allocated inodes *)
+  frag_owner : int array;  (* fragment -> owning inode, 0 = unowned *)
+  inode_refs : int array;  (* on-disk references *)
+  live : Bytes.t;  (* reachable allocated inodes *)
+  parent : int array;  (* directory -> the directory it was found in *)
 }
 
 let viol ctx v = ctx.violations <- v :: ctx.violations
+
+let is_live ctx inum = Bytes.get ctx.live (inum - Geom.root_inum) <> '\000'
+let set_live ctx inum = Bytes.set ctx.live (inum - Geom.root_inum) '\001'
+
+(* A block pointer's target; out-of-range pointers read as unwritten. *)
+let cell_at image ptr =
+  if ptr > 0 && ptr < Array.length image then image.(ptr) else Types.Empty
 
 let read_dinode ctx inum =
   if not (Geom.valid_inum ctx.geom inum) then None
@@ -65,11 +83,10 @@ let claim_frags ctx ~inum ~start ~len =
     if not (Geom.data_frag_in_cg ctx.geom f) then
       viol ctx (Bad_pointer { inum; lbn = -1; ptr = f })
     else
-      match Hashtbl.find_opt ctx.frag_owner f with
-      | Some other when other <> inum ->
+      let other = ctx.frag_owner.(f) in
+      if other = 0 then ctx.frag_owner.(f) <- inum
+      else if other <> inum then
         viol ctx (Cross_allocated { frag = f; owners = (other, inum) })
-      | Some _ -> ()
-      | None -> Hashtbl.replace ctx.frag_owner f inum
   done
 
 let check_data_extent ctx ~inum ~(din : Types.dinode) ~lbn ~start ~len =
@@ -85,17 +102,12 @@ let check_data_extent ctx ~inum ~(din : Types.dinode) ~lbn ~start ~len =
     done
 
 let read_indirect ctx ~inum ~ptr =
-  if ptr <= 0 || ptr >= Array.length ctx.image then begin
+  match cell_at ctx.image ptr with
+  | Types.Meta (Types.Indirect a) -> Some a
+  | Types.Empty | Types.Pad | Types.Frag _ | Types.Meta _ | Types.Jlog _ | Types.Rmap _ | Types.Csum _ ->
+    (* out of range, or an uninitialised indirect block *)
     viol ctx (Bad_pointer { inum; lbn = -1; ptr });
     None
-  end
-  else
-    match ctx.image.(ptr) with
-    | Types.Meta (Types.Indirect a) -> Some a
-    | Types.Empty | Types.Pad | Types.Frag _ | Types.Meta _ | Types.Jlog _ | Types.Rmap _ | Types.Csum _ ->
-      (* pointer to an uninitialised indirect block *)
-      viol ctx (Bad_pointer { inum; lbn = -1; ptr });
-      None
 
 let frags_in_block g ~size ~lbn =
   let bb = Geom.block_bytes g in
@@ -169,7 +181,7 @@ let dir_blocks ctx inum (din : Types.dinode) =
   let out = ref [] in
   let fetch ptr =
     if ptr <> 0 then
-      match ctx.image.(ptr) with
+      match cell_at ctx.image ptr with
       | Types.Meta (Types.Dir entries) -> out := entries :: !out
       | Types.Empty | Types.Pad | Types.Frag _ | Types.Meta _ | Types.Jlog _ | Types.Rmap _ | Types.Csum _ ->
         viol ctx (Bad_dir { inum; reason = Printf.sprintf "unreadable block at %d" ptr })
@@ -189,26 +201,32 @@ let dir_blocks ctx inum (din : Types.dinode) =
   List.rev !out
 
 let add_ref ctx inum =
-  Hashtbl.replace ctx.inode_refs inum
-    (1 + Option.value ~default:0 (Hashtbl.find_opt ctx.inode_refs inum))
+  if Geom.valid_inum ctx.geom inum then begin
+    let i = inum - Geom.root_inum in
+    ctx.inode_refs.(i) <- ctx.inode_refs.(i) + 1
+  end
 
-(* Breadth-first walk of the directory tree. *)
+(* Breadth-first walk of the directory tree: marks reachable inodes
+   live, counts references and records each directory's parent. *)
 let walk ctx =
   let queue = Queue.create () in
-  let seen = Hashtbl.create 256 in
-  let enqueue_dir inum = if not (Hashtbl.mem seen inum) then begin
-      Hashtbl.add seen inum ();
+  let seen = Bytes.make (Geom.total_inodes ctx.geom) '\000' in
+  (* [inum] is valid: the root, or an allocated directory's entry *)
+  let enqueue_dir ~parent inum =
+    let i = inum - Geom.root_inum in
+    if Bytes.get seen i = '\000' then begin
+      Bytes.set seen i '\001';
+      ctx.parent.(i) <- parent;
       Queue.add inum queue
     end
   in
-  enqueue_dir Geom.root_inum;
-  (* "." of the root *)
+  enqueue_dir ~parent:Geom.root_inum Geom.root_inum;
   while not (Queue.is_empty queue) do
     let dinum = Queue.pop queue in
     match read_dinode ctx dinum with
     | None -> viol ctx (Bad_dir { inum = dinum; reason = "directory inode is free" })
     | Some din ->
-      Hashtbl.replace ctx.live dinum din;
+      set_live ctx dinum;
       check_file_blocks ctx dinum din;
       let blocks = dir_blocks ctx dinum din in
       let saw_dot = ref false and saw_dotdot = ref false in
@@ -218,73 +236,84 @@ let walk ctx =
             (function
               | None -> ()
               | Some { Types.name; inum } ->
+                add_ref ctx inum;
                 if name = "." then begin
                   saw_dot := true;
                   if inum <> dinum then
-                    viol ctx (Bad_dir { inum = dinum; reason = "bad \".\"" });
-                  add_ref ctx inum
+                    viol ctx (Bad_dir { inum = dinum; reason = bad_dot })
                 end
                 else if name = ".." then begin
                   saw_dotdot := true;
-                  add_ref ctx inum
+                  if not (Geom.valid_inum ctx.geom inum) then
+                    viol ctx (Bad_dir { inum = dinum; reason = bad_dotdot })
                 end
                 else begin
-                  add_ref ctx inum;
                   match read_dinode ctx inum with
                   | None -> viol ctx (Dangling_entry { dir = dinum; name; inum })
                   | Some child ->
-                    if child.Types.ftype = Types.F_dir then enqueue_dir inum
-                    else begin
-                      if not (Hashtbl.mem ctx.live inum) then begin
-                        Hashtbl.replace ctx.live inum child;
-                        check_file_blocks ctx inum child
-                      end
+                    if child.Types.ftype = Types.F_dir then
+                      enqueue_dir ~parent:dinum inum
+                    else if not (is_live ctx inum) then begin
+                      set_live ctx inum;
+                      check_file_blocks ctx inum child
                     end
                 end)
             entries)
         blocks;
       if blocks <> [] && not (!saw_dot && !saw_dotdot) then
-        viol ctx (Bad_dir { inum = dinum; reason = "missing \".\" or \"..\"" })
+        viol ctx (Bad_dir { inum = dinum; reason = missing_dots })
   done
 
 (* Compare references with link counts and audit the free maps. *)
 let audit ctx =
-  let nlink_high = ref 0 in
-  Hashtbl.iter
-    (fun inum (din : Types.dinode) ->
-      let refs = Option.value ~default:0 (Hashtbl.find_opt ctx.inode_refs inum) in
-      if din.Types.nlink < refs then
-        viol ctx (Nlink_low { inum; nlink = din.Types.nlink; refs })
-      else if din.Types.nlink > refs then incr nlink_high)
-    ctx.live;
   let g = ctx.geom in
+  let nlink_high = ref 0 and dirs = ref 0 and files = ref 0 in
+  for i = 0 to Geom.total_inodes g - 1 do
+    if Bytes.get ctx.live i <> '\000' then
+      match read_dinode ctx (Geom.root_inum + i) with
+      | None -> ()
+      | Some din ->
+        if din.Types.ftype = Types.F_dir then incr dirs else incr files;
+        let refs = ctx.inode_refs.(i) in
+        if din.Types.nlink < refs then
+          viol ctx
+            (Nlink_low { inum = Geom.root_inum + i; nlink = din.Types.nlink; refs })
+        else if din.Types.nlink > refs then incr nlink_high
+  done;
   let leaked_frags = ref 0 and leaked_inodes = ref 0 and stale_free = ref 0 in
   for c = 0 to Geom.cg_count g - 1 do
-    let header = ctx.image.(Geom.cg_header_frag g c) in
-    match header with
+    match ctx.image.(Geom.cg_header_frag g c) with
     | Types.Meta (Types.Cgroup cg) ->
       let base = Geom.cg_base g c in
       let data_first, data_count = Geom.cg_data_area g c in
-      for f = data_first to data_first + data_count - 1 do
-        let marked_used = Bytes.get cg.Types.frag_map (f - base) <> '\000' in
-        let owner = Hashtbl.find_opt ctx.frag_owner f in
-        match owner, marked_used with
-        | Some _, false -> incr stale_free
-        | None, true -> incr leaked_frags
-        | Some _, true | None, false -> ()
-      done;
-      let first_inum = Geom.first_inum_of_cg g c in
-      for j = 0 to g.Geom.inodes_per_cg - 1 do
-        let inum = first_inum + j in
-        let marked_used = Bytes.get cg.Types.inode_map j <> '\000' in
-        let live = Hashtbl.mem ctx.live inum in
-        if live && not marked_used then incr stale_free
-        else if (not live) && marked_used then incr leaked_inodes
-      done
+      let fmap = cg.Types.frag_map and imap = cg.Types.inode_map in
+      let first = Geom.first_inum_of_cg g c - Geom.root_inum in
+      let ipc = g.Geom.inodes_per_cg in
+      if
+        data_first >= base
+        && data_first - base + data_count <= Bytes.length fmap
+        && data_first + data_count <= Array.length ctx.frag_owner
+        && ipc <= Bytes.length imap
+        && first + ipc <= Bytes.length ctx.live
+      then begin
+        for f = data_first to data_first + data_count - 1 do
+          let marked_used = Bytes.unsafe_get fmap (f - base) <> '\000' in
+          let owned = Array.unsafe_get ctx.frag_owner f <> 0 in
+          if owned && not marked_used then incr stale_free
+          else if marked_used && not owned then incr leaked_frags
+        done;
+        for j = 0 to ipc - 1 do
+          let marked_used = Bytes.unsafe_get imap j <> '\000' in
+          let live = Bytes.unsafe_get ctx.live (first + j) <> '\000' in
+          if live && not marked_used then incr stale_free
+          else if marked_used && not live then incr leaked_inodes
+        done
+      end
+      else (* maps too short for the group *) viol ctx (Bad_cg { cg = c })
     | Types.Empty | Types.Pad | Types.Frag _ | Types.Meta _ | Types.Jlog _ | Types.Rmap _ | Types.Csum _ ->
-      viol ctx (Bad_dir { inum = -c; reason = "unreadable cylinder-group header" })
+      viol ctx (Bad_cg { cg = c })
   done;
-  (!leaked_frags, !leaked_inodes, !stale_free, !nlink_high)
+  (!leaked_frags, !leaked_inodes, !stale_free, !nlink_high, !dirs, !files)
 
 (* The persisted checksum region, when the image carries one (always
    past the addressable media — never inside it). *)
@@ -313,35 +342,40 @@ let csum_violations ~geom image =
     done;
     !out
 
-let check ~geom ~image ~check_exposure =
+(* The check, keeping its context: repair reuses a clean round's
+   references, parents and live set. Tables are allocated per call —
+   campaigns run checks on several domains at once. *)
+let check_ctx ~geom ~image ~check_exposure =
+  let ninodes = Geom.total_inodes geom in
   let ctx =
     {
       geom;
       image;
       check_exposure;
       violations = [];
-      frag_owner = Hashtbl.create 4096;
-      inode_refs = Hashtbl.create 1024;
-      live = Hashtbl.create 1024;
+      frag_owner = Array.make geom.Geom.nfrags 0;
+      inode_refs = Array.make ninodes 0;
+      live = Bytes.make ninodes '\000';
+      parent = Array.make ninodes 0;
     }
   in
   walk ctx;
-  let leaked_frags, leaked_inodes, stale_free, nlink_high = audit ctx in
-  let dirs =
-    Hashtbl.fold
-      (fun _ (d : Types.dinode) n ->
-        if d.Types.ftype = Types.F_dir then n + 1 else n)
-      ctx.live 0
+  let leaked_frags, leaked_inodes, stale_free, nlink_high, dirs, files =
+    audit ctx
   in
-  {
-    violations = List.rev ctx.violations @ csum_violations ~geom image;
-    leaked_frags;
-    leaked_inodes;
-    stale_free;
-    nlink_high;
-    files = Hashtbl.length ctx.live - dirs;
-    dirs;
-  }
+  ( ctx,
+    {
+      violations = List.rev ctx.violations @ csum_violations ~geom image;
+      leaked_frags;
+      leaked_inodes;
+      stale_free;
+      nlink_high;
+      files;
+      dirs;
+    } )
+
+let check ~geom ~image ~check_exposure =
+  snd (check_ctx ~geom ~image ~check_exposure)
 
 let ok (r : report) = r.violations = []
 
@@ -411,17 +445,16 @@ let dir_blocks_with_addr geom image (din : Types.dinode) =
   let nblocks = Geom.blocks_of_bytes geom din.Types.size in
   let out = ref [] in
   let fetch ptr =
-    if ptr <> 0 then
-      match image.(ptr) with
-      | Types.Meta (Types.Dir entries) -> out := (ptr, entries) :: !out
-      | _ -> ()
+    match cell_at image ptr with
+    | Types.Meta (Types.Dir entries) -> out := (ptr, entries) :: !out
+    | _ -> ()
   in
   let nd = geom.Geom.ndaddr in
   for i = 0 to min (nblocks - 1) (nd - 1) do
     fetch din.Types.db.(i)
   done;
-  if nblocks > nd && din.Types.ib <> 0 then begin
-    match image.(din.Types.ib) with
+  if nblocks > nd then begin
+    match cell_at image din.Types.ib with
     | Types.Meta (Types.Indirect arr) ->
       for i = 0 to nblocks - nd - 1 do
         if i < Array.length arr then fetch arr.(i)
@@ -468,10 +501,9 @@ let clear_bad_dir_block ?observer geom image inum =
     let keep = ref [] in
     Array.iter
       (fun ptr ->
-        if ptr <> 0 then
-          match image.(ptr) with
-          | Types.Meta (Types.Dir _) -> keep := ptr :: !keep
-          | _ -> ())
+        match cell_at image ptr with
+        | Types.Meta (Types.Dir _) -> keep := ptr :: !keep
+        | _ -> ())
       din.Types.db;
     let survivors = Array.of_list (List.rev !keep) in
     update_dinode ?observer geom image inum (fun din ->
@@ -481,72 +513,41 @@ let clear_bad_dir_block ?observer geom image inum =
         din.Types.ib2 <- 0;
         din.Types.size <- Array.length survivors * Geom.block_bytes geom)
 
+(* Point every "." at the directory and every out-of-range ".." at
+   [parent]; add whichever of the two is missing altogether to the
+   first block. *)
 let restore_dots ?observer geom image ~inum ~parent =
   match peek_dinode geom image inum with
   | None -> ()
   | Some din ->
-    (match dir_blocks_with_addr geom image din with
-     | (ptr, _) :: _ ->
-       update_dir_block ?observer image ptr (fun entries ->
-           if Types.dir_find entries "." = None then begin
-             match Types.dir_free_slot entries with
-             | Some s -> entries.(s) <- Some { Types.name = "."; inum }
-             | None -> ()
-           end;
-           if Types.dir_find entries ".." = None then begin
-             match Types.dir_free_slot entries with
-             | Some s -> entries.(s) <- Some { Types.name = ".."; inum = parent }
-             | None -> ()
-           end)
-     | [] -> ())
-
-(* Walk the tree recording reference counts and each directory's
-   parent (the lenient counterpart of the checking walk). *)
-let count_refs geom image =
-  let refs = Hashtbl.create 256 in
-  let parent = Hashtbl.create 64 in
-  let add inum =
-    Hashtbl.replace refs inum
-      (1 + Option.value ~default:0 (Hashtbl.find_opt refs inum))
-  in
-  let read inum =
-    if not (Geom.valid_inum geom inum) then None
-    else
-      match image.(Geom.inode_block_frag geom inum) with
-      | Types.Meta (Types.Inodes dinodes) ->
-        let d = dinodes.(Geom.inode_index_in_block geom inum) in
-        if d.Types.ftype = Types.F_free then None else Some d
-      | _ -> None
-  in
-  let seen = Hashtbl.create 256 in
-  let queue = Queue.create () in
-  Queue.add Geom.root_inum queue;
-  Hashtbl.add seen Geom.root_inum ();
-  while not (Queue.is_empty queue) do
-    let dinum = Queue.pop queue in
-    match read dinum with
-    | None -> ()
-    | Some din ->
-      List.iter
-        (fun (_, entries) ->
-          Array.iter
-            (function
-              | Some { Types.name; inum } ->
-                add inum;
-                if name <> "." && name <> ".." && not (Hashtbl.mem seen inum)
-                then begin
-                  Hashtbl.add seen inum ();
-                  match read inum with
-                  | Some c when c.Types.ftype = Types.F_dir ->
-                    Hashtbl.replace parent inum dinum;
-                    Queue.add inum queue
-                  | Some _ | None -> ()
-                end
-              | None -> ())
-            entries)
-        (dir_blocks_with_addr geom image din)
-  done;
-  (refs, parent, seen)
+    let blocks = dir_blocks_with_addr geom image din in
+    let absent name =
+      List.for_all (fun (_, es) -> Types.dir_find es name = None) blocks
+    in
+    let add_dot = absent "." and add_dotdot = absent ".." in
+    List.iteri
+      (fun b (ptr, _) ->
+        update_dir_block ?observer image ptr (fun entries ->
+            Array.iteri
+              (fun s e ->
+                match e with
+                | Some { Types.name = "."; inum = i } when i <> inum ->
+                  entries.(s) <- Some { Types.name = "."; inum }
+                | Some { Types.name = ".."; inum = i }
+                  when not (Geom.valid_inum geom i) ->
+                  entries.(s) <- Some { Types.name = ".."; inum = parent }
+                | Some _ | None -> ())
+              entries;
+            if b = 0 then begin
+              let add name inum =
+                match Types.dir_free_slot entries with
+                | Some s -> entries.(s) <- Some { Types.name; inum }
+                | None -> ()
+              in
+              if add_dot then add "." inum;
+              if add_dotdot then add ".." parent
+            end))
+      blocks
 
 type repair_outcome = {
   actions : repair_action list;
@@ -579,28 +580,27 @@ let repair ?observer ~geom ~image ~check_exposure () =
   let note a = actions := a :: !actions in
   let rounds = ref 0 in
   let converged = ref true in
-  let continue_ = ref true in
-  while !continue_ do
+  (* the context of a round that found nothing structural: the loop
+     then writes nothing, so it still describes the image *)
+  let clean = ref None in
+  while !clean = None && !converged do
     incr rounds;
-    if !rounds > 8 then begin
+    if !rounds > 8 then
       (* structural repairs keep uncovering each other: stop rewriting
          and report divergence instead of dying — the settle/reclaim
          passes below still leave the image as sane as possible *)
-      converged := false;
-      continue_ := false
-    end
+      converged := false
     else begin
-      let r = check ~geom ~image ~check_exposure in
+      let ctx, r = check_ctx ~geom ~image ~check_exposure in
       let structural =
         List.filter
           (function
-            | Nlink_low _ | Csum_mismatch _ -> false
+            | Nlink_low _ | Csum_mismatch _ | Bad_cg _ -> false
             | _ -> true)
           r.violations
       in
-      if structural = [] then continue_ := false
-      else begin
-        let _, parents, _ = count_refs geom image in
+      if structural = [] then clean := Some ctx
+      else
         List.iter
           (fun v ->
             match v with
@@ -611,64 +611,63 @@ let repair ?observer ~geom ~image ~check_exposure () =
               truncate_file ?observer geom image b;
               note (Truncated_file { inum = b })
             | Exposure { inum; _ } | Bad_pointer { inum; _ } ->
-              if inum > 0 then begin
-                truncate_file ?observer geom image inum;
-                note (Truncated_file { inum })
-              end
-            | Bad_dir { inum; reason } when inum > 0 ->
-              if String.length reason >= 7 && String.sub reason 0 7 = "missing"
-              then begin
-                let parent =
-                  Option.value ~default:Geom.root_inum
-                    (Hashtbl.find_opt parents inum)
-                in
-                restore_dots ?observer geom image ~inum ~parent;
-                note (Restored_dots { inum })
-              end
-              else begin
-                clear_bad_dir_block ?observer geom image inum;
-                note (Cleared_dir_block { inum; ptr = 0 })
-              end
-            | Bad_dir _ | Nlink_low _ | Csum_mismatch _ -> ())
+              truncate_file ?observer geom image inum;
+              note (Truncated_file { inum })
+            | Bad_dir { inum; reason }
+              when reason = missing_dots || reason = bad_dot
+                   || reason = bad_dotdot ->
+              let parent = ctx.parent.(inum - Geom.root_inum) in
+              let parent = if parent = 0 then Geom.root_inum else parent in
+              restore_dots ?observer geom image ~inum ~parent;
+              note (Restored_dots { inum })
+            | Bad_dir { inum; _ } ->
+              clear_bad_dir_block ?observer geom image inum;
+              note (Cleared_dir_block { inum; ptr = 0 })
+            | Nlink_low _ | Bad_cg _ | Csum_mismatch _ -> ())
           structural
-      end
     end
   done;
   (* settle link counts against the observed reference counts and
-     reclaim unreachable inodes *)
-  let refs, _, seen = count_refs geom image in
-  Hashtbl.iter
-    (fun inum () ->
+     reclaim unreachable inodes; after the round limit the image has
+     changed since the last check, so walk it afresh *)
+  let ctx =
+    match !clean with
+    | Some ctx -> ctx
+    | None -> fst (check_ctx ~geom ~image ~check_exposure)
+  in
+  let ninodes = Geom.total_inodes geom in
+  for i = 0 to ninodes - 1 do
+    if Bytes.get ctx.live i <> '\000' then begin
+      let inum = Geom.root_inum + i in
       match peek_dinode geom image inum with
       | Some din when din.Types.ftype <> Types.F_free ->
-        let want = Option.value ~default:0 (Hashtbl.find_opt refs inum) in
+        let want = ctx.inode_refs.(i) in
         if din.Types.nlink <> want && want > 0 then begin
           note (Fixed_nlink { inum; from_ = din.Types.nlink; to_ = want });
           update_dinode ?observer geom image inum (fun d ->
               d.Types.nlink <- want)
         end
-      | Some _ | None -> ())
-    seen;
+      | Some _ | None -> ()
+    end
+  done;
   (* unreachable allocated inodes: clear them (their storage is
      reclaimed by the map rebuild) *)
   let freed = ref 0 in
-  for c = 0 to Geom.cg_count geom - 1 do
-    let first = Geom.first_inum_of_cg geom c in
-    for j = 0 to geom.Geom.inodes_per_cg - 1 do
-      let inum = first + j in
-      if not (Hashtbl.mem seen inum) then
-        match peek_dinode geom image inum with
-        | Some din when din.Types.ftype <> Types.F_free ->
-          update_dinode ?observer geom image inum (fun d ->
-              d.Types.ftype <- Types.F_free;
-              d.Types.nlink <- 0;
-              Array.fill d.Types.db 0 (Array.length d.Types.db) 0;
-              d.Types.ib <- 0;
-              d.Types.ib2 <- 0;
-              d.Types.size <- 0);
-          incr freed
-        | Some _ | None -> ()
-    done
+  for i = 0 to ninodes - 1 do
+    if Bytes.get ctx.live i = '\000' then begin
+      let inum = Geom.root_inum + i in
+      match peek_dinode geom image inum with
+      | Some din when din.Types.ftype <> Types.F_free ->
+        update_dinode ?observer geom image inum (fun d ->
+            d.Types.ftype <- Types.F_free;
+            d.Types.nlink <- 0;
+            Array.fill d.Types.db 0 (Array.length d.Types.db) 0;
+            d.Types.ib <- 0;
+            d.Types.ib2 <- 0;
+            d.Types.size <- 0);
+        incr freed
+      | Some _ | None -> ()
+    end
   done;
   if !freed > 0 then note (Freed_unreachable { inodes = !freed });
   Su_core.Journaled.rebuild_maps ?observer geom image;

@@ -25,7 +25,11 @@ type violation =
       (** pointer to a fragment whose contents the file never wrote:
           another file's stale data is readable *)
   | Bad_dir of { inum : int; reason : string }
-      (** unreadable directory block / missing "." or ".." *)
+      (** unreadable directory block, missing "." or "..", a "." that
+          names another inode, or a ".." that names no valid inode *)
+  | Bad_cg of { cg : int }
+      (** unreadable cylinder-group header; not structural: repair's
+          map rebuild rewrites every header *)
   | Csum_mismatch of { frag : int }
       (** fragment content disagrees with the image's persisted
           checksum region (silent corruption the online ladder never
@@ -48,7 +52,13 @@ val pp_violation : Format.formatter -> violation -> unit
 val check :
   geom:Geom.t -> image:Types.cell array -> check_exposure:bool -> report
 (** Walk the directory tree from the root, verify every reachable
-    structure, then audit the allocation maps. *)
+    structure, then audit the allocation maps. Never raises on bad
+    images: an entry or pointer naming an out-of-range inode or
+    fragment is a violation.
+
+    Report order: first the violations the breadth-first walk meets,
+    in walk order; then [Nlink_low] in ascending inum; then [Bad_cg]
+    in ascending group; then [Csum_mismatch] in ascending fragment. *)
 
 val ok : report -> bool
 (** No violations (leaks are fine). *)
@@ -72,7 +82,10 @@ type repair_action =
 val pp_repair_action : Format.formatter -> repair_action -> unit
 
 type repair_outcome = {
-  actions : repair_action list;  (** what was done, in order *)
+  actions : repair_action list;
+      (** what was done, in order: structural fixes round by round (in
+          report order), then [Fixed_nlink] in ascending inum, then
+          [Freed_unreachable], [Rebuilt_maps] and [Resynced_csums] *)
   final : report;  (** the re-check after repairing *)
   rounds : int;  (** structural repair rounds run *)
   converged : bool;

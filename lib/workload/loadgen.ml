@@ -304,7 +304,10 @@ let shard_span cfg s =
   let first = (s * base) + min s extra in
   (first, n)
 
-let run_world cfg ~shard =
+(* Make shard [shard]'s world and spawn its controller without running
+   the engine; the result lands in the returned cell once every client
+   has finished. *)
+let spawn_shard cfg ~shard =
   let first, n = shard_span cfg shard in
   let w = Fs.make cfg.fs_cfg in
   let st = w.Fs.st in
@@ -382,10 +385,18 @@ let run_world cfg ~shard =
     Engine.stop eng
   in
   ignore (Proc.spawn eng ~name:"loadgen" controller);
-  Engine.run eng;
+  (w, result)
+
+let run_world cfg ~shard =
+  let w, result = spawn_shard cfg ~shard in
+  Engine.run w.Fs.engine;
   match !result with
   | Some r -> r
   | None -> failwith "Loadgen: world did not complete"
+
+let start cfg =
+  validate cfg;
+  fst (spawn_shard cfg ~shard:0)
 
 (* --- aggregation and reporting ------------------------------------------- *)
 

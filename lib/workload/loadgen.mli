@@ -66,6 +66,12 @@ val run : ?jobs:int -> config -> report
     [jobs] workers) and merge their histograms by shard index.
     @raise Invalid_argument on an inconsistent configuration. *)
 
+val start : config -> Su_fs.Fs.world
+(** Make the first shard's world (every client when [shards = 1]) and
+    spawn its load into it without running the engine: the caller
+    drives it, for example to a crash with {!Su_fs.Crash.crash_at}.
+    @raise Invalid_argument on an inconsistent configuration. *)
+
 val window : config -> float
 val measured_ops : report -> int
 val throughput : config -> report -> float

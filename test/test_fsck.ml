@@ -168,6 +168,212 @@ let test_nlink_high_repairable () =
   Alcotest.(check bool) "no violation" true (Fsck.ok r);
   Alcotest.(check bool) "counted as repairable" true (r.Fsck.nlink_high >= 1)
 
+let nothing_to_settle what (r : Fsck.report) =
+  Alcotest.(check (list int)) (what ^ ": nothing to settle") [ 0; 0; 0; 0 ]
+    [ r.Fsck.nlink_high; r.Fsck.leaked_inodes; r.Fsck.leaked_frags;
+      r.Fsck.stale_free ]
+
+let check_repairs_clean what image =
+  let o = Fsck.repair ~geom ~image ~check_exposure:true () in
+  if not (o.Fsck.converged && Fsck.ok o.Fsck.final) then
+    List.iter
+      (fun v -> Format.eprintf "%s residual: %a@." what Fsck.pp_violation v)
+      o.Fsck.final.Fsck.violations;
+  Alcotest.(check bool) (what ^ ": repair converges") true o.Fsck.converged;
+  Alcotest.(check bool) (what ^ ": repaired clean") true (Fsck.ok o.Fsck.final);
+  nothing_to_settle what o.Fsck.final;
+  let log = Imglog.recorder () in
+  ignore
+    (Fsck.repair ~observer:(Imglog.observe log) ~geom ~image
+       ~check_exposure:true ());
+  Alcotest.(check int) (what ^ ": second repair writes") 0 (Imglog.count log);
+  o
+
+(* An unreadable cylinder-group header is not structural damage: the
+   map rebuild rewrites it, so repair must settle in its first round. *)
+let test_bad_cg_header () =
+  List.iter
+    (fun c ->
+      let _w, image = clean_world () in
+      image.(Geom.cg_header_frag geom c) <- Types.Empty;
+      let r = check image in
+      Alcotest.(check bool) "reported as Bad_cg" true
+        (r.Fsck.violations = [ Fsck.Bad_cg { cg = c } ]);
+      Alcotest.(check string) "printed"
+        (Printf.sprintf "cylinder group %d: unreadable header" c)
+        (Format.asprintf "%a" Fsck.pp_violation (Fsck.Bad_cg { cg = c }));
+      let o = check_repairs_clean (Printf.sprintf "cg %d" c) image in
+      Alcotest.(check int) "one round" 1 o.Fsck.rounds)
+    [ 0; 1 ]
+
+let add_entry entries name inum =
+  match Types.dir_free_slot entries with
+  | Some s -> entries.(s) <- Some { Types.name; inum }
+  | None -> Alcotest.fail "directory block full"
+
+(* Entries naming inodes outside [root_inum, root_inum + total_inodes)
+   dangle; they must never index fsck's per-inode tables. *)
+let test_out_of_range_entries () =
+  let _w, image = clean_world () in
+  let _, entries = find_dir_entries image "a" in
+  let beyond = Geom.root_inum + Geom.total_inodes geom in
+  List.iter
+    (fun i -> add_entry entries (Printf.sprintf "z%d" i) i)
+    [ 0; 1; beyond ];
+  let r = check image in
+  List.iter
+    (fun i ->
+      Alcotest.(check bool)
+        (Printf.sprintf "inum %d dangles" i)
+        true
+        (has_violation r (function
+          | Fsck.Dangling_entry { inum; _ } -> inum = i
+          | _ -> false)))
+    [ 0; 1; beyond ];
+  ignore (check_repairs_clean "out-of-range entries" image)
+
+let set_entry entries name inum =
+  match Types.dir_find entries name with
+  | Some (slot, _) -> entries.(slot) <- Some { Types.name; inum }
+  | None -> Alcotest.failf "entry %s missing" name
+
+let test_out_of_range_dots () =
+  let beyond = Geom.root_inum + Geom.total_inodes geom in
+  List.iter
+    (fun (name, inum, reason) ->
+      let _w, image = clean_world () in
+      let _, entries = find_dir_entries image "a" in
+      set_entry entries name inum;
+      let r = check image in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s -> %d flagged" name inum)
+        true
+        (has_violation r (function
+          | Fsck.Bad_dir { reason = why; _ } -> why = reason
+          | _ -> false));
+      ignore (check_repairs_clean (Printf.sprintf "%s -> %d" name inum) image))
+    [ (".", beyond, "bad \".\""); (".", 0, "bad \".\"");
+      ("..", beyond, "bad \"..\""); ("..", 1, "bad \"..\"") ]
+
+(* Block pointers into the superblock's block (frag 0 is the null
+   pointer), past the media, into the inode area, and negative: each a
+   violation, never an exception — for a file's direct and indirect
+   pointers and for a directory's blocks. *)
+let test_out_of_range_pointers () =
+  let first_inode_frag, _ = Geom.cg_inode_area geom 0 in
+  let nfrags = geom.Geom.nfrags in
+  let cases =
+    [ ("b", `Direct, 1); ("b", `Direct, nfrags); ("b", `Direct, nfrags - 2);
+      ("b", `Direct, first_inode_frag); ("b", `Direct, -8);
+      ("a", `Indirect, nfrags); ("a", `Indirect, -1);
+      ("d", `Direct, nfrags); ("d", `Direct, 1); ("d", `Direct, -8);
+      ("d", `Second, nfrags) ]
+  in
+  List.iter
+    (fun (name, where, ptr) ->
+      let what = Printf.sprintf "%s -> %d" name ptr in
+      let _w, image = clean_world () in
+      let _, entries = find_dir_entries image name in
+      let din = dinode_of image (entry_inum entries name) in
+      (match where with
+       | `Direct -> din.Types.db.(0) <- ptr
+       | `Second ->
+         (* the first block stays readable: its entries are reached
+            before repair truncates the directory *)
+         din.Types.db.(1) <- ptr;
+         din.Types.size <- 2 * Geom.block_bytes geom
+       | `Indirect -> din.Types.ib <- ptr);
+      let r = check ~exposure:true image in
+      Alcotest.(check bool) (what ^ " flagged") true
+        (has_violation r (function
+          | Fsck.Bad_pointer _ | Fsck.Bad_dir _ -> true
+          | _ -> false));
+      ignore (check_repairs_clean what image))
+    cases
+
+(* Report order: walk order, then Nlink_low by ascending inum, then
+   Bad_cg, then Csum_mismatch; Fixed_nlink actions by ascending inum.
+   The walk meets b before a here, and b's link count is broken
+   first. *)
+let test_report_order () =
+  let _w, image = clean_world () in
+  let _, entries = find_dir_entries image "a" in
+  let ia = entry_inum entries "a" and ib = entry_inum entries "b" in
+  Alcotest.(check bool) "a has the lower inum" true (ia < ib);
+  (match Types.dir_find entries "a", Types.dir_find entries "b" with
+   | Some (sa, ea), Some (sb, eb) ->
+     entries.(sa) <- Some eb;
+     entries.(sb) <- Some ea
+   | _ -> Alcotest.fail "entries missing");
+  (dinode_of image ib).Types.nlink <- 0;
+  (dinode_of image ia).Types.nlink <- 0;
+  add_entry entries "ghost" 0;
+  let last_cg = Geom.cg_count geom - 1 in
+  image.(Geom.cg_header_frag geom last_cg) <- Types.Empty;
+  let csum = Array.map Types.cell_digest image in
+  let bad_frag = Geom.cg_header_frag geom 0 in
+  csum.(bad_frag) <- csum.(bad_frag) + 1;
+  let image = Array.append image [| Types.Csum csum |] in
+  let r = check image in
+  let dir = entry_inum (snd (find_dir_entries image "d")) "d" in
+  Alcotest.(check (list string)) "report order"
+    (List.map
+       (Format.asprintf "%a" Fsck.pp_violation)
+       [ Fsck.Dangling_entry { dir; name = "ghost"; inum = 0 };
+         Fsck.Nlink_low { inum = ia; nlink = 0; refs = 1 };
+         Fsck.Nlink_low { inum = ib; nlink = 0; refs = 1 };
+         Fsck.Bad_cg { cg = last_cg };
+         Fsck.Csum_mismatch { frag = bad_frag } ])
+    (List.map (Format.asprintf "%a" Fsck.pp_violation) r.Fsck.violations);
+  let o = check_repairs_clean "order" image in
+  Alcotest.(check (list int)) "Fixed_nlink ascending" [ ia; ib ]
+    (List.filter_map
+       (function Fsck.Fixed_nlink { inum; _ } -> Some inum | _ -> None)
+       o.Fsck.actions)
+
+(* Every crash state of No Order and soft updates over the built-in
+   crash workloads: after one repair a fresh check finds nothing, not
+   even a leak, and a second repair writes nothing. *)
+let test_repair_leaves_nothing_to_settle () =
+  List.iter
+    (fun (scheme, want_states, want_dirty) ->
+      let cfg = Su_check.Campaign.compact_cfg scheme in
+      let geom = cfg.Fs.geom in
+      let check_exposure = Su_check.Campaign.check_exposure cfg in
+      let states = ref 0 and dirty = ref 0 in
+      List.iter
+        (fun wl ->
+          let r = Su_check.Explorer.record ~cfg wl in
+          let cursor =
+            Su_check.Delta.cursor ~initial:r.Su_check.Explorer.rec_initial
+              ~log:r.Su_check.Explorer.rec_deltas
+          in
+          Array.iter
+            (fun st ->
+              incr states;
+              let image = Su_check.Explorer.materialize cursor st in
+              let what =
+                Printf.sprintf "%s/%s state %d" (Fs.scheme_kind_name scheme)
+                  wl.Su_check.Explorer.wl_name !states
+              in
+              if not (Fsck.ok (Fsck.check ~geom ~image ~check_exposure)) then
+                incr dirty;
+              ignore (Fsck.repair ~geom ~image ~check_exposure ());
+              let r = Fsck.check ~geom ~image ~check_exposure in
+              Alcotest.(check bool) (what ^ ": clean") true (Fsck.ok r);
+              nothing_to_settle what r;
+              let log = Imglog.recorder () in
+              ignore
+                (Fsck.repair ~observer:(Imglog.observe log) ~geom ~image
+                   ~check_exposure ());
+              Alcotest.(check int) (what ^ ": second repair writes") 0
+                (Imglog.count log))
+            (Su_check.Explorer.crash_states r))
+        Su_check.Explorer.builtin_workloads;
+      Alcotest.(check int) "states" want_states !states;
+      Alcotest.(check int) "states with violations" want_dirty !dirty)
+    [ (Fs.No_order, 281, 116); (Fs.Soft_updates, 433, 0) ]
+
 let suite =
   [
     Alcotest.test_case "clean baseline" `Quick test_clean_baseline;
@@ -181,4 +387,12 @@ let suite =
     Alcotest.test_case "leaks are repairable" `Quick test_detects_leaks;
     Alcotest.test_case "detects bad dir" `Quick test_detects_bad_dir;
     Alcotest.test_case "nlink high repairable" `Quick test_nlink_high_repairable;
+    Alcotest.test_case "bad cg header repairs in one round" `Quick
+      test_bad_cg_header;
+    Alcotest.test_case "out-of-range entries" `Quick test_out_of_range_entries;
+    Alcotest.test_case "out-of-range dots" `Quick test_out_of_range_dots;
+    Alcotest.test_case "out-of-range pointers" `Quick test_out_of_range_pointers;
+    Alcotest.test_case "report and action order" `Quick test_report_order;
+    Alcotest.test_case "repair leaves nothing to settle" `Slow
+      test_repair_leaves_nothing_to_settle;
   ]
