@@ -42,7 +42,9 @@ let usage () =
      \                  benchmark falls below N events/sec (a generous\n\
      \                  anti-regression floor for CI, not a target)\n\
      \  --crashsweep    crash-state materialization (delta log vs deep\n\
-     \                  copy) and full-sweep scaling across the pool\n\
+     \                  copy) and full-sweep scaling across the pool;\n\
+     \                  gate: the jobs=1 sweep allocates <= 380k words\n\
+     \                  per verified state\n\
      \  --loadgen       load-engine steady state (zero-major assertion)\n\
      \                  and directory-scale lookups (10k entries gated\n\
      \                  within 2x of 100); exit 1 on a failed gate\n\
@@ -379,12 +381,29 @@ let run_hotpaths ~quick ~jobs ~json_path ~min_driver_eps =
 
    2. full-sweep wall clock: Explorer.sweep (fsck + repair + remount +
       continuation per state) at --jobs 1 and --jobs N, states/sec
-      each, pinning the work pool's scaling. *)
+      each, pinning the work pool's scaling.
+
+   3. allocation per verified state: words allocated by the jobs=1
+      sweep (minor words plus words allocated straight into the major
+      heap, i.e. minor + major - promoted), over its states. The sweep
+      is deterministic, so the count repeats exactly. Gate: at most
+      [crashsweep_gate_words_per_state] over all workloads, a bound that
+      catches per-world set-up going back to O(disk). *)
 
 module Explorer = Su_check.Explorer
 module Delta = Su_check.Delta
 
 let crashsweep_cfg = Su_check.Campaign.compact_cfg Su_fs.Fs.Soft_updates
+
+let crashsweep_gate_words_per_state = 380_000.
+
+(* A full major first, so the counters have taken in the young heap's
+   fill and every major slice's allocation: read bare, they lag by up
+   to a minor heap. *)
+let allocated_words () =
+  Gc.full_major ();
+  let s = Gc.quick_stat () in
+  s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
 
 (* The pre-delta materialization: advance a private base incrementally,
    then take a full deep-copy snapshot per state (plus the torn-prefix
@@ -462,16 +481,18 @@ let run_crashsweep ~quick ~jobs ~json_path =
         let deep_sps = time_states (materialize_deepcopy r) states in
         let delta_sps = time_states (materialize_delta r) states in
         let sweep_at jobs =
+          let w0 = allocated_words () in
           let t0 = Unix.gettimeofday () in
           let s =
             Explorer.sweep_recording ~jobs ?max_boundaries ~cfg:crashsweep_cfg
               ~workload:wl.Explorer.wl_name r
           in
           let wall = Unix.gettimeofday () -. t0 in
-          (s, wall, float_of_int s.Explorer.s_states /. wall)
+          (s, wall, float_of_int s.Explorer.s_states /. wall,
+           allocated_words () -. w0)
         in
-        let s1, wall1, sps1 = sweep_at 1 in
-        let _sn, walln, spsn = sweep_at jobs_n in
+        let s1, wall1, sps1, words1 = sweep_at 1 in
+        let _sn, walln, spsn, _ = sweep_at jobs_n in
         Printf.printf
           "%-12s states=%-5d materialize: deepcopy %10.0f/s  delta %12.0f/s \
            (%5.1fx)\n"
@@ -481,11 +502,22 @@ let run_crashsweep ~quick ~jobs ~json_path =
           "%-12s sweep: jobs=1 %6.2fs (%5.1f states/s)   jobs=%d %6.2fs \
            (%5.1f states/s)\n%!"
           "" wall1 sps1 jobs_n walln spsn;
+        Printf.printf "%-12s alloc: %.0f words/state (jobs=1)\n%!" ""
+          (words1 /. float_of_int s1.Explorer.s_states);
         (wl.Explorer.wl_name, s1, Array.length states, deep_sps, delta_sps,
-         wall1, sps1, walln, spsn))
+         wall1, sps1, walln, spsn, words1))
       Explorer.builtin_workloads
   in
-  match json_path with
+  let words, nstates =
+    List.fold_left
+      (fun (w, n) (_, s1, _, _, _, _, _, _, _, words1) ->
+        (w +. words1, n + s1.Explorer.s_states))
+      (0., 0) results
+  in
+  let words_per_state = words /. float_of_int nstates in
+  Printf.printf "# alloc: %.0f words per verified state (gate <= %.0f)\n"
+    words_per_state crashsweep_gate_words_per_state;
+  (match json_path with
   | None -> ()
   | Some path ->
     let oc = open_out path in
@@ -494,23 +526,34 @@ let run_crashsweep ~quick ~jobs ~json_path =
       jobs_n;
     Printf.fprintf oc "  \"workloads\": [\n";
     List.iteri
-      (fun i (name, s1, states, deep, delta, wall1, sps1, walln, spsn) ->
+      (fun i (name, s1, states, deep, delta, wall1, sps1, walln, spsn, words1) ->
         Printf.fprintf oc
           "    {\"name\": %S, \"scheme\": %S, \"writes\": %d, \"states\": %d,\n\
           \     \"materialize\": {\"deepcopy_states_per_sec\": %.0f, \
            \"delta_states_per_sec\": %.0f, \"speedup\": %.1f},\n\
           \     \"sweep\": {\"jobs1_wall_s\": %.3f, \"jobs1_states_per_sec\": \
            %.1f, \"jobsN\": %d, \"jobsN_wall_s\": %.3f, \
-           \"jobsN_states_per_sec\": %.1f}}%s\n"
+           \"jobsN_states_per_sec\": %.1f, \
+           \"jobs1_alloc_words_per_state\": %.0f}}%s\n"
           name
           (Su_fs.Fs.scheme_kind_name s1.Explorer.s_scheme)
           s1.Explorer.s_writes states deep delta (delta /. deep) wall1 sps1
           jobs_n walln spsn
+          (words1 /. float_of_int s1.Explorer.s_states)
           (if i = List.length results - 1 then "" else ","))
       results;
-    Printf.fprintf oc "  ]\n}\n";
+    Printf.fprintf oc
+      "  ],\n  \"alloc_words_per_state\": %.0f,\n  \"alloc_gate\": %.0f\n}\n"
+      words_per_state crashsweep_gate_words_per_state;
     close_out oc;
-    Printf.printf "# wrote %s\n" path
+    Printf.printf "# wrote %s\n" path);
+  if words_per_state > crashsweep_gate_words_per_state then begin
+    Printf.printf
+      "FAIL: the jobs=1 sweep allocates %.0f words per verified state \
+       (gate <= %.0f)\n"
+      words_per_state crashsweep_gate_words_per_state;
+    exit 1
+  end
 
 (* --- loadgen steady state + directory-scale hot paths ------------------ *)
 

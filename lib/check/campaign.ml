@@ -154,17 +154,22 @@ let judge ?observer ~campaign ~cfg ~remount_cfg outcome image =
      as mount-time recovery would *)
   Fs.recover_image ?observer cfg image;
   let exposure = check_exposure cfg in
-  let pre = Fsck.check ~geom:cfg.Fs.geom ~image ~check_exposure:exposure in
-  let pre = List.length pre.Fsck.violations in
-  let repair_converged, post_violations =
+  let count (r : Fsck.report) = List.length r.Fsck.violations in
+  (* repair's first round checks the image as recovery left it, so its
+     report is the pre-repair verdict *)
+  let pre, repair_converged, post_violations =
     match outcome with
-    | Completed -> (true, pre)
+    | Completed ->
+      let pre =
+        count (Fsck.check ~geom:cfg.Fs.geom ~image ~check_exposure:exposure)
+      in
+      (pre, true, pre)
     | Failed_typed _ | Escaped _ ->
       let o =
         Fsck.repair ?observer ~geom:cfg.Fs.geom ~image
           ~check_exposure:exposure ()
       in
-      (o.Fsck.converged, List.length o.Fsck.final.Fsck.violations)
+      (count o.Fsck.initial, o.Fsck.converged, count o.Fsck.final)
   in
   let remount_ok =
     match outcome with

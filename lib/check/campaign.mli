@@ -69,6 +69,13 @@ val clean_device : Su_fs.Fs.config -> Su_fs.Fs.config
 (** The config with a perfect device: no fault model, no spares, no
     scrubber. The injection campaigns remount on it. *)
 
+val remount_and_continue :
+  campaign:string -> cfg:Su_fs.Fs.config -> Su_fstypes.Types.cell array -> bool
+(** The judging tail's remount probe: mount the image under [cfg],
+    create, write and rename in a probe directory named after
+    [campaign], sync, and check the resulting disk clean. [false] on
+    any failure. The image itself is only read. *)
+
 (** What the judging tail found. *)
 type judgement = {
   pre_violations : int;  (** fsck violations before repair *)
@@ -86,8 +93,9 @@ val judge :
   Su_fstypes.Types.cell array ->
   judgement
 (** The judging tail over a surviving image (mutated in place):
-    mount-time recovery, fsck check, fsck repair (skipped when
-    [Completed] — nothing should need it), then a remount under
+    mount-time recovery, then an fsck check when [Completed] (nothing
+    should need repair) or else an fsck repair, whose first-round
+    report gives [pre_violations]; then a remount under
     [remount_cfg] that creates, writes and renames in a probe
     directory named after [campaign], syncs, and must check out clean
     again (skipped when [Escaped] — already a violation). [observer]

@@ -62,8 +62,9 @@ val position : cursor -> int
 
 val image : cursor -> Types.cell array
 (** The live base image at the cursor's boundary. Owned by the
-    cursor: callers must not mutate it — take a
-    [Array.map Types.copy_cell] snapshot (cheap: immutable cells are
-    shared) before handing it to anything that writes. *)
+    cursor: callers must not mutate it, nor any cell in it — take a
+    private snapshot ({!Explorer.materialize}: immutable cells shared,
+    the mutable kinds copied) before handing it to anything that
+    writes. *)
 
 val log : cursor -> t array

@@ -147,6 +147,19 @@ type verdict = {
   v_nested : nested option;  (** crash-during-recovery sub-sweep *)
 }
 
+(* A copy of a cursor's image that a verifier may mutate: the array
+   is copied and only the cells with mutable interiors ([Meta], [Jlog],
+   [Csum]) are deep-copied; every other cell is immutable and shared. *)
+let private_image src =
+  let img = Array.copy src in
+  Array.iteri
+    (fun i c ->
+      match c with
+      | Types.Meta _ | Types.Jlog _ | Types.Csum _ -> img.(i) <- Types.copy_cell c
+      | Types.Empty | Types.Pad | Types.Frag _ | Types.Rmap _ -> ())
+    src;
+  img
+
 (* Re-crash recovery inside its own write stream. [base] is the crash
    image before any recovery ran; [events] the (lbn, pre, post) cell
    writes the outer recovery pipeline issued against it, in order. For
@@ -170,7 +183,7 @@ let nested_verify ?max_boundaries ~cfg base events =
   let unrecovered = ref 0 and unsettled = ref 0 in
   for k = 0 to last do
     Delta.seek cur k;
-    let img = Array.map Types.copy_cell (Delta.image cur) in
+    let img = private_image (Delta.image cur) in
     (* round one: recovery over its own partial effects must settle *)
     Fs.recover_image cfg img;
     let outcome =
@@ -271,11 +284,11 @@ let crash_states ?(torn = true) ?max_boundaries r =
 
 (* Materialize one crash state as a private image a verifier may
    mutate: seek the cursor to the boundary (O(cells touched)), take a
-   copy-on-share snapshot (immutable cells shared, mutable metadata
-   deep-copied by [Types.copy_cell]), then overlay any torn prefix. *)
+   copy-on-share snapshot ({!private_image}), then overlay any torn
+   prefix. *)
 let materialize cur (boundary, torn) =
   Delta.seek cur boundary;
-  let img = Array.map Types.copy_cell (Delta.image cur) in
+  let img = private_image (Delta.image cur) in
   (match torn with
    | None -> ()
    | Some applied ->

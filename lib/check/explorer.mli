@@ -137,7 +137,8 @@ val materialize : Delta.cursor -> int * int option -> Types.cell array
 (** Materialize one crash state as a private image the verify
     pipeline may mutate: seek the cursor, snapshot, overlay any torn
     prefix. Seeking costs O(cells touched) per boundary crossed; the
-    snapshot shares immutable cells and deep-copies only metadata. *)
+    snapshot shares immutable cells and deep-copies only the kinds with
+    mutable interiors (metadata, journal records, checksum region). *)
 
 val sweep_recording :
   ?torn:bool ->

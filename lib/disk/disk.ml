@@ -568,7 +568,7 @@ let install t lbn cell =
   if lbn < 0 || lbn >= Volume.length t.image then
     invalid_arg "Disk.install: address out of range";
   let phys = if lbn < t.media then phys_of t lbn else lbn in
-  Volume.set t.image phys cell;
+  Volume.install t.image phys cell;
   match t.csum with
   | Some ca when lbn < t.media -> ca.(lbn) <- Types.cell_digest cell
   | Some _ | None -> ()

@@ -80,12 +80,13 @@ val submit :
     malformed. *)
 
 val install : t -> int -> Su_fstypes.Types.cell -> unit
-(** Write a cell directly into the image with no timing (mkfs, image
-    mounting, repair). Media addresses go through the remap table
-    (identity until entries exist — installing a captured
-    [image_snapshot] before {!reload_remap} reproduces the physical
-    layout verbatim); addresses past the media hit the raw spare
-    region. *)
+(** Write a private copy of a cell directly into the image with no
+    timing (mkfs, image mounting, repair): the caller keeps its value,
+    and later mutation of it cannot reach the image. Media addresses
+    go through the remap table (identity until entries exist —
+    installing a captured [image_snapshot] before {!reload_remap}
+    reproduces the physical layout verbatim); addresses past the media
+    hit the raw spare region. *)
 
 val peek : t -> int -> Su_fstypes.Types.cell
 (** Read one image cell directly (fsck / tests). Slab-encoded kinds

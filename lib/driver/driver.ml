@@ -601,20 +601,21 @@ let create ~engine ~disk config =
       next_id = 0;
       last_flagged = None;
       fcfs = (match config.policy with Fcfs -> true | Clook -> false);
-      reqs = Itbl.create ~capacity:16384 ~absent:absent_req ();
+      (* Default-sized: a world is built per remounted crash state, so
+         its set-up must not cost O(burst). The tables double as they
+         fill (amortized O(1) per insert, so a 10k-request burst pays
+         ~one extra rehash of itself), and nothing iterates them, so
+         their capacity never reaches dispatch order. *)
+      reqs = Itbl.create ~absent:absent_req ();
       n_queued = 0;
       ready_ids = Bitset.create ();
       ready_lbns = Bitset.create ();
-      (* Sized past the deepest burst the benches queue (10k requests
-         outstanding at once): growing a hot table mid-burst rehashes
-         more entries than the burst itself queues, and 256 KB a table
-         is nothing next to the disk image. *)
-      ready_at = Itbl.create ~capacity:16384 ~absent:[] ();
-      waiters = Itbl.create ~capacity:16384 ~absent:[] ();
+      ready_at = Itbl.create ~absent:[] ();
+      waiters = Itbl.create ~absent:[] ();
       outstanding_ids = Bitset.create ();
       n_outstanding = 0;
       write_lbns = Bitset.create ();
-      writes_at = Itbl.create ~capacity:16384 ~absent:[] ();
+      writes_at = Itbl.create ~absent:[] ();
       max_wext = 1;
       head_pos = 0;
       idle_waiters = [];

@@ -33,12 +33,8 @@ let built t = t.built
 
 let ensure t (cg : Su_fstypes.Types.cg) =
   if not t.built then begin
-    Bytes.iteri
-      (fun i b -> if b = '\000' then Bitset.set t.free i)
-      cg.Su_fstypes.Types.frag_map;
-    Bytes.iteri
-      (fun i b -> if b = '\000' then Bitset.set t.ifree i)
-      cg.Su_fstypes.Types.inode_map;
+    Bitset.load_zero_bytes t.free cg.Su_fstypes.Types.frag_map;
+    Bitset.load_zero_bytes t.ifree cg.Su_fstypes.Types.inode_map;
     t.built <- true
   end
 

@@ -243,15 +243,19 @@ let build ?image cfg =
    | Some cells ->
      if Array.length cells > max_image then
        invalid_arg "Fs.mount_image: image larger than the configured disk";
-     (* a captured checksum region is loaded over the digests the
-        installs compute, so pre-mount corruption stays detectable; it
-        must not be installed positionally (the source layout's slot
-        may differ from ours) *)
+     (* [install] keeps its own copy, so the caller's image is never
+        aliased; a fresh disk already reads [Empty] (and digests it)
+        everywhere, so those cells are skipped. A captured checksum
+        region is loaded over the digests the installs compute, so
+        pre-mount corruption stays detectable; it must not be
+        installed positionally (the source layout's slot may differ
+        from ours) *)
      Array.iteri
        (fun i c ->
          match c with
+         | Types.Empty -> ()
          | Types.Csum _ -> Su_disk.Disk.install_csum disk c
-         | _ -> Su_disk.Disk.install disk i (Types.copy_cell c))
+         | _ -> Su_disk.Disk.install disk i c)
        cells;
      (* restore the in-core remap table before anything reads through
         the device, then cross-check the superblock replicas *)

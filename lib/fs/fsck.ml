@@ -551,6 +551,7 @@ let restore_dots ?observer geom image ~inum ~parent =
 
 type repair_outcome = {
   actions : repair_action list;
+  initial : report;
   final : report;
   rounds : int;
   converged : bool;
@@ -570,6 +571,16 @@ let repair_test_hook :
   ref None
 
 let repair ?observer ~geom ~image ~check_exposure () =
+  (* count the writes that land, so a repair whose last clean round
+     was followed by no write can reuse that round's report as its
+     final one: the image is the one it checked *)
+  let writes = ref 0 in
+  let observer =
+    Some
+      (fun ~lbn ~pre ~post ->
+        incr writes;
+        match observer with Some f -> f ~lbn ~pre ~post | None -> ())
+  in
   (match !repair_test_hook with
    | Some hook ->
      List.iter
@@ -580,9 +591,11 @@ let repair ?observer ~geom ~image ~check_exposure () =
   let note a = actions := a :: !actions in
   let rounds = ref 0 in
   let converged = ref true in
-  (* the context of a round that found nothing structural: the loop
-     then writes nothing, so it still describes the image *)
+  (* the context and report of a round that found nothing structural,
+     with the write count at its check: the loop then writes nothing,
+     so they still describe the image *)
   let clean = ref None in
+  let initial = ref None in
   while !clean = None && !converged do
     incr rounds;
     if !rounds > 8 then
@@ -592,6 +605,7 @@ let repair ?observer ~geom ~image ~check_exposure () =
       converged := false
     else begin
       let ctx, r = check_ctx ~geom ~image ~check_exposure in
+      if !initial = None then initial := Some r;
       let structural =
         List.filter
           (function
@@ -599,7 +613,7 @@ let repair ?observer ~geom ~image ~check_exposure () =
             | _ -> true)
           r.violations
       in
-      if structural = [] then clean := Some ctx
+      if structural = [] then clean := Some (ctx, r, !writes)
       else
         List.iter
           (fun v ->
@@ -632,7 +646,7 @@ let repair ?observer ~geom ~image ~check_exposure () =
      changed since the last check, so walk it afresh *)
   let ctx =
     match !clean with
-    | Some ctx -> ctx
+    | Some (ctx, _, _) -> ctx
     | None -> fst (check_ctx ~geom ~image ~check_exposure)
   in
   let ninodes = Geom.total_inodes geom in
@@ -694,9 +708,14 @@ let repair ?observer ~geom ~image ~check_exposure () =
        Imglog.write ?observer image slot (Types.Csum fresh);
        note (Resynced_csums { frags = !changed })
      end);
-  let final = check ~geom ~image ~check_exposure in
+  let final =
+    match !clean with
+    | Some (_, r, w) when w = !writes -> r
+    | Some _ | None -> check ~geom ~image ~check_exposure
+  in
   {
     actions = List.rev !actions;
+    initial = Option.get !initial;
     final;
     rounds = !rounds;
     converged = !converged;

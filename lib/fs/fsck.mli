@@ -86,7 +86,13 @@ type repair_outcome = {
       (** what was done, in order: structural fixes round by round (in
           report order), then [Fixed_nlink] in ascending inum, then
           [Freed_unreachable], [Rebuilt_maps] and [Resynced_csums] *)
-  final : report;  (** the re-check after repairing *)
+  initial : report;
+      (** the first round's check, of the image as repair found it
+          (after any {!repair_test_hook} writes) *)
+  final : report;
+      (** the check of the repaired image; when no write landed after
+          the last round's clean check, that check's report (the image
+          is unchanged, so a re-check would read the same) *)
   rounds : int;  (** structural repair rounds run *)
   converged : bool;
       (** [false] if structural repairs kept uncovering new damage and

@@ -40,10 +40,10 @@ let check_and_restore ~geom disk =
   match List.find_opt (fun f -> usable ~geom disk f) cs with
   | None -> Error "no usable superblock replica"
   | Some good ->
-    (* the copy is load-bearing: a superblock is one of the boxed
-       kinds [Disk.peek] returns live, and the restored replicas must
-       not share its mutable record *)
-    let cell = Types.copy_cell (Su_disk.Disk.peek disk good) in
+    (* a superblock is one of the boxed kinds [Disk.peek] returns
+       live; [Disk.install] stores private copies, so the restored
+       replicas never share its record *)
+    let cell = Su_disk.Disk.peek disk good in
     let restored =
       List.fold_left
         (fun n f ->
@@ -53,7 +53,7 @@ let check_and_restore ~geom disk =
                spares the content is still fixed in place (which cures
                plain corruption, not the bad sector) *)
             if unreadable disk f then ignore (Su_disk.Disk.try_remap disk ~lbn:f);
-            Su_disk.Disk.install disk f (Types.copy_cell cell);
+            Su_disk.Disk.install disk f cell;
             n + 1
           end)
         0 cs

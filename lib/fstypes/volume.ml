@@ -285,6 +285,11 @@ let set t i cell =
   | Types.Jlog _ | Types.Rmap _ | Types.Csum _ ->
     box cell
 
+let install t i cell =
+  set t i cell;
+  if Bytes.get_uint8 t.tags i = tag_box then
+    t.box.items.(t.aux.(i)) <- Types.copy_cell cell
+
 let unpack_written a =
   Types.Written
     {
@@ -404,7 +409,13 @@ let copy t =
     box = arena_map Types.copy_cell t.box;
   }
 
-let snapshot t = Array.init t.n (fun i -> get t i ~live:false)
+(* A fresh array already reads [Empty]: decode only the rest. *)
+let snapshot t =
+  let a = Array.make t.n Types.Empty in
+  for i = 0 to t.n - 1 do
+    if Bytes.unsafe_get t.tags i <> '\000' then a.(i) <- get t i ~live:false
+  done;
+  a
 
 let of_cells cells =
   let t = create (Array.length cells) in

@@ -50,6 +50,14 @@ val set : t -> int -> Types.cell -> unit
     overwrites allocate nothing.
     @raise Invalid_argument if the address is out of range. *)
 
+val install : t -> int -> Types.cell -> unit
+(** Like {!set}, but the volume keeps a private copy: slab-class cells
+    are encoded as {!set} does, and a boxed cell is stored as its
+    {!Types.copy_cell} copy — so only the kinds {!set} would alias are
+    copied. The disk's image-installing path (mkfs, mount, repair of
+    replicas) goes through here.
+    @raise Invalid_argument if the address is out of range. *)
+
 val read : t -> int -> Types.cell
 (** Decode a private copy: mutating the result never reaches the
     volume (boxed cells are deep-copied, matching what

@@ -18,16 +18,41 @@
 
 type t = { mutable levels : int array array }
 
+(* Zeroed level arrays for [words] level-0 words: each level up has one
+   word per 32 below, ending in a single top word. *)
+let make_levels words =
+  let rec sizes acc n = if n <= 1 then 1 :: acc else sizes (n :: acc) ((n + 31) / 32) in
+  Array.of_list (List.rev_map (fun n -> Array.make n 0) (sizes [] words))
+
 let create ?(capacity = 0) () =
   let t = { levels = [||] } in
-  if capacity > 0 then begin
-    (* build via the growth path below *)
-    let rec sizes acc n = if n <= 1 then 1 :: acc else sizes (n :: acc) ((n + 31) / 32) in
-    let words = (capacity + 31) / 32 in
-    let lvls = sizes [] words |> List.rev in
-    t.levels <- Array.of_list (List.map (fun n -> Array.make n 0) lvls)
-  end;
+  if capacity > 0 then t.levels <- make_levels ((capacity + 31) / 32);
   t
+
+let load_zero_bytes t b =
+  let n = Bytes.length b in
+  if n = 0 then t.levels <- [||]
+  else begin
+    let levels = make_levels ((n + 31) / 32) in
+    let l0 = levels.(0) in
+    (* 32 map bytes per level-0 word *)
+    for w = 0 to Array.length l0 - 1 do
+      let base = w lsl 5 in
+      let m = ref 0 in
+      for j = 0 to min 31 (n - 1 - base) do
+        if Bytes.unsafe_get b (base + j) = '\000' then m := !m lor (1 lsl j)
+      done;
+      l0.(w) <- !m
+    done;
+    (* then each summary level from the one below *)
+    for k = 1 to Array.length levels - 1 do
+      let below = levels.(k - 1) and a = levels.(k) in
+      Array.iteri
+        (fun i v -> if v <> 0 then a.(i lsr 5) <- a.(i lsr 5) lor (1 lsl (i land 31)))
+        below
+    done;
+    t.levels <- levels
+  end
 
 let capacity t =
   if Array.length t.levels = 0 then 0 else 32 * Array.length t.levels.(0)
@@ -44,13 +69,17 @@ let grow t i =
   while !words * 32 <= i do
     words := !words * 2
   done;
-  let rec sizes acc n = if n <= 1 then 1 :: acc else sizes (n :: acc) ((n + 31) / 32) in
-  let lvls = sizes [] !words |> List.rev in
-  let nlevels = Array.of_list (List.map (fun n -> Array.make n 0) lvls) in
+  let nlevels = make_levels !words in
   Array.iteri
     (fun k old ->
       Array.blit old 0 nlevels.(k) 0 (Array.length old))
     t.levels;
+  (* the old prefix lies under word 0 of every level the growth added:
+     summarize it there, or [is_empty] misses it once the new region
+     empties again *)
+  for k = max 1 (Array.length t.levels) to Array.length nlevels - 1 do
+    if nlevels.(k - 1).(0) <> 0 then nlevels.(k).(0) <- nlevels.(k).(0) lor 1
+  done;
   t.levels <- nlevels
 
 let mem t i =

@@ -16,6 +16,14 @@ val create : ?capacity:int -> unit -> t
     [0 .. capacity-1] (it is a hint — sets beyond it grow the
     structure). *)
 
+val load_zero_bytes : t -> Bytes.t -> unit
+(** [load_zero_bytes t map] replaces the members of [t] with the
+    indices [i] where [map] holds ['\000'] — the free slots of a
+    byte-per-slot allocation map — building each membership word from
+    32 map bytes and then the summary levels, instead of one {!set}
+    per member. Capacity becomes [Bytes.length map] rounded up to a
+    multiple of 32. *)
+
 val capacity : t -> int
 (** Current addressable universe size (multiple of 32). *)
 

@@ -418,6 +418,100 @@ let rename_sweep_cases =
         [ Explorer.renamefile; Explorer.renamedir ])
     ordered_schemes
 
+(* --- ownership: mounts and sweeps never write through shared cells ----- *)
+
+let digests image = Array.map Types.cell_digest image
+
+(* Every crash state of the built-in workloads: a mount holds its own
+   copy of the image, so the disk reads back the input cell for cell
+   (the checksum region is loaded by value and exempt), and the
+   remount probe's writes never reach the caller's cells. *)
+let test_mount_never_aliases scheme () =
+  let cfg = sweep_cfg scheme in
+  List.iter
+    (fun wl ->
+      let r = Explorer.record ~cfg wl in
+      let cur =
+        Delta.cursor ~initial:r.Explorer.rec_initial ~log:r.Explorer.rec_deltas
+      in
+      Array.iter
+        (fun ((k, torn) as st) ->
+          let what =
+            Printf.sprintf "%s/%s k=%d torn=%s" (Fs.scheme_kind_name scheme)
+              wl.Explorer.wl_name k
+              (match torn with None -> "-" | Some a -> string_of_int a)
+          in
+          let image = Explorer.materialize cur st in
+          let before = digests image in
+          let w = Fs.mount_image cfg image in
+          let snap = Su_disk.Disk.image_snapshot w.Fs.disk in
+          Alcotest.(check int) (what ^ ": length") (Array.length image)
+            (Array.length snap);
+          Array.iteri
+            (fun i c ->
+              match c with
+              | Types.Csum _ -> ()
+              | _ ->
+                if snap.(i) <> c then
+                  Alcotest.failf "%s: cell %d differs after mount" what i)
+            image;
+          ignore
+            (Campaign.remount_and_continue ~campaign:"alias" ~cfg image : bool);
+          if digests image <> before then
+            Alcotest.failf "%s: the remount probe changed the caller's image"
+              what)
+        (Explorer.crash_states r))
+    Explorer.builtin_workloads
+
+(* A deep copy of a recording: cursors over it share no cell with
+   cursors over the original. *)
+let private_recording (r : Explorer.recording) =
+  ( Array.map Types.copy_cell r.Explorer.rec_initial,
+    Array.map
+      (fun d ->
+        Delta.v ~lbn:d.Delta.d_lbn
+          ~pre:(Array.map Types.copy_cell d.Delta.d_pre)
+          ~post:(Array.map Types.copy_cell d.Delta.d_post))
+      r.Explorer.rec_deltas )
+
+(* Verifying a state works on a materialized copy, so the sweep
+   cursor's shared cells come out of every verify as they went in:
+   after each state its image digests the same as that of a cursor over
+   a private copy of the recording, at the same boundary. *)
+let test_verify_never_mutates_cursor () =
+  let run ?(nested = false) scheme wl =
+    let cfg = sweep_cfg scheme in
+    let r = Explorer.record ~cfg wl in
+    let cur =
+      Delta.cursor ~initial:r.Explorer.rec_initial ~log:r.Explorer.rec_deltas
+    in
+    let initial, log = private_recording r in
+    let fresh = Delta.cursor ~initial ~log in
+    Array.iter
+      (fun ((k, torn) as st) ->
+        let image = Explorer.materialize cur st in
+        ignore
+          (Explorer.verify_state ~nested ~cfg ~boundary:k ~torn image
+            : Explorer.verdict);
+        Delta.seek fresh k;
+        Array.iteri
+          (fun i c ->
+            match c, (Delta.image fresh).(i) with
+            | Types.Empty, Types.Empty -> ()
+            | c, f ->
+              if Types.cell_digest c <> Types.cell_digest f then
+                Alcotest.failf "%s/%s%s k=%d: cursor cell %d mutated"
+                  (Fs.scheme_kind_name scheme) wl.Explorer.wl_name
+                  (if nested then " (nested)" else "")
+                  k i)
+          (Delta.image cur))
+      (Explorer.crash_states r)
+  in
+  List.iter
+    (fun scheme -> List.iter (run scheme) Explorer.builtin_workloads)
+    [ Fs.Soft_updates; Fs.Conventional ];
+  run ~nested:true Fs.Soft_updates Explorer.renamedir
+
 (* --- the nested, crash-during-recovery sweep ---------------------------- *)
 
 let test_nested_consistent scheme wl () =
@@ -488,6 +582,12 @@ let suite =
     Alcotest.test_case "crash_states respects max_boundaries" `Quick
       test_crash_states_cap;
     QCheck_alcotest.to_alcotest prop_delta_apply_undo;
+    Alcotest.test_case "mount never aliases the image: soft updates" `Slow
+      (test_mount_never_aliases Fs.Soft_updates);
+    Alcotest.test_case "mount never aliases the image: conventional" `Slow
+      (test_mount_never_aliases Fs.Conventional);
+    Alcotest.test_case "verify never mutates the cursor" `Slow
+      test_verify_never_mutates_cursor;
     Alcotest.test_case "sweep deterministic across jobs" `Quick
       test_sweep_jobs_deterministic;
     Alcotest.test_case "campaign fan-out fails fast at any jobs" `Quick

@@ -5,28 +5,12 @@
 open Su_sim
 open Su_fstypes
 open Su_fs
+module Campaign = Su_check.Campaign
 module Faultsweep = Su_check.Faultsweep
 module Explorer = Su_check.Explorer
 module Fuzz = Su_workload.Fuzz
 
-let compact_cfg () = Su_check.Campaign.compact_cfg Fs.Soft_updates
-
-(* Run [body] against a fresh world, catching whatever it raises, then
-   wind the world down cleanly. *)
-let run_world ~cfg body =
-  let w = Fs.make cfg in
-  let failed = ref None in
-  let controller () =
-    (try body w with e -> failed := Some e);
-    (try
-       Fs.stop w;
-       Su_driver.Driver.quiesce w.Fs.driver
-     with _ -> ());
-    Engine.stop w.Fs.engine
-  in
-  ignore (Proc.spawn w.Fs.engine ~name:"controller" controller);
-  Engine.run w.Fs.engine;
-  (w, !failed)
+let compact_cfg () = Campaign.compact_cfg Fs.Soft_updates
 
 (* --- the campaign ----------------------------------------------------- *)
 
@@ -82,10 +66,8 @@ let test_remap_heavy_zero_divergence () =
       Fs.fault = { Su_disk.Fault.none with bad_sectors = data_lbns };
       spare_frags = 16 }
   in
-  let w, failed = run_world ~cfg:faulty (fun w -> wl.Explorer.wl_run w.Fs.st) in
-  (match failed with
-   | None -> ()
-   | Some e -> Alcotest.fail ("run should complete: " ^ Printexc.to_string e));
+  let w = Fs.make faulty in
+  Campaign.expect_completed (Campaign.run_workload w wl.Explorer.wl_run);
   Alcotest.(check int) "every bad fragment remapped"
     (List.length data_lbns)
     (Su_disk.Disk.remaps w.Fs.disk);
@@ -107,20 +89,21 @@ let test_remap_heavy_zero_divergence () =
 
 let test_readonly_refuses_mutation () =
   let cfg = { (compact_cfg ()) with Fs.geom = Geom.small } in
-  let _w, failed =
-    run_world ~cfg (fun w ->
-        Fsops.create w.Fs.st "/before";
-        Health.force_readonly w.Fs.st.State.health ~reason:"test";
+  let w = Fs.make cfg in
+  match
+    Campaign.run_workload w (fun st ->
+        Fsops.create st "/before";
+        Health.force_readonly st.State.health ~reason:"test";
         (* reads and flushes still work *)
-        ignore (Fsops.stat w.Fs.st "/before");
-        ignore (Fsops.readdir w.Fs.st "/");
-        Fsops.sync w.Fs.st;
-        Fsops.create w.Fs.st "/after")
-  in
-  match failed with
-  | Some (Fsops.Erofs path) -> Alcotest.(check string) "path" "/after" path
-  | Some e -> Alcotest.fail ("expected Erofs, got " ^ Printexc.to_string e)
-  | None -> Alcotest.fail "mutation succeeded on a read-only volume"
+        ignore (Fsops.stat st "/before");
+        ignore (Fsops.readdir st "/");
+        Fsops.sync st;
+        Fsops.create st "/after")
+  with
+  | Campaign.Failed_typed msg ->
+    Alcotest.(check string) "typed Erofs naming the path" "Erofs: /after" msg
+  | Campaign.Escaped msg -> Alcotest.fail ("expected Erofs, got " ^ msg)
+  | Campaign.Completed -> Alcotest.fail "mutation succeeded on a read-only volume"
 
 let test_unreadable_metadata_raises_eio () =
   let cfg = { (compact_cfg ()) with Fs.geom = Geom.small } in
@@ -129,13 +112,13 @@ let test_unreadable_metadata_raises_eio () =
     { cfg with
       Fs.fault = { Su_disk.Fault.none with bad_sectors = [ root_block ] } }
   in
-  let w, failed =
-    run_world ~cfg (fun w -> Fsops.create w.Fs.st "/victim")
-  in
-  (match failed with
-   | Some (Fsops.Eio _) -> ()
-   | Some e -> Alcotest.fail ("expected Eio, got " ^ Printexc.to_string e)
-   | None -> Alcotest.fail "create over an unreadable root should fail");
+  let w = Fs.make cfg in
+  (match Campaign.run_workload w (fun st -> Fsops.create st "/victim") with
+   | Campaign.Failed_typed msg when String.starts_with ~prefix:"Eio: " msg -> ()
+   | Campaign.Failed_typed msg | Campaign.Escaped msg ->
+     Alcotest.fail ("expected Eio, got " ^ msg)
+   | Campaign.Completed ->
+     Alcotest.fail "create over an unreadable root should fail");
   Alcotest.(check bool) "health heard the failure" true
     (Health.io_errors w.Fs.st.State.health > 0);
   Alcotest.(check bool) "volume degraded" true
@@ -185,14 +168,9 @@ let test_scrub_repairs_latent_sb_fault () =
       spare_frags = 8;
       scrub_interval = 0.01 }
   in
-  let w, failed =
-    run_world ~cfg (fun w ->
-        ignore w;
-        Proc.sleep w.Fs.engine 0.2)
-  in
-  (match failed with
-   | None -> ()
-   | Some e -> Alcotest.fail (Printexc.to_string e));
+  let w = Fs.make cfg in
+  Campaign.expect_completed
+    (Campaign.run_workload w (fun _ -> Proc.sleep w.Fs.engine 0.2));
   let s = Option.get w.Fs.scrub in
   Alcotest.(check bool) "fragments probed" true (Scrub.scanned s > 0);
   Alcotest.(check int) "the latent bad sector found" 1 (Scrub.found s);

@@ -374,6 +374,44 @@ let test_repair_leaves_nothing_to_settle () =
       Alcotest.(check int) "states with violations" want_dirty !dirty)
     [ (Fs.No_order, 281, 116); (Fs.Soft_updates, 433, 0) ]
 
+(* Repair reports the first round's check as [initial] and may reuse
+   its last clean round's report as [final] when nothing was written
+   after it. Over every crash state of the six schemes and the
+   built-in workloads, recovered as the judging tail recovers them,
+   both must be what a separate check reads. *)
+let test_repair_reports_match_checks () =
+  List.iter
+    (fun scheme ->
+      let cfg = Su_check.Campaign.compact_cfg scheme in
+      let geom = cfg.Fs.geom in
+      let check_exposure = Su_check.Campaign.check_exposure cfg in
+      List.iter
+        (fun wl ->
+          let r = Su_check.Explorer.record ~cfg wl in
+          let cursor =
+            Su_check.Delta.cursor ~initial:r.Su_check.Explorer.rec_initial
+              ~log:r.Su_check.Explorer.rec_deltas
+          in
+          Array.iter
+            (fun ((k, torn) as st) ->
+              let what =
+                Printf.sprintf "%s/%s k=%d torn=%s" (Fs.scheme_kind_name scheme)
+                  wl.Su_check.Explorer.wl_name k
+                  (match torn with None -> "-" | Some a -> string_of_int a)
+              in
+              let image = Su_check.Explorer.materialize cursor st in
+              Fs.recover_image cfg image;
+              let before = Fsck.check ~geom ~image ~check_exposure in
+              let o = Fsck.repair ~geom ~image ~check_exposure () in
+              if o.Fsck.initial <> before then
+                Alcotest.failf "%s: initial differs from a check before repair"
+                  what;
+              if o.Fsck.final <> Fsck.check ~geom ~image ~check_exposure then
+                Alcotest.failf "%s: final differs from a check after repair" what)
+            (Su_check.Explorer.crash_states r))
+        Su_check.Explorer.builtin_workloads)
+    (Fs.all_schemes @ [ Fs.Journaled { group_commit = false } ])
+
 let suite =
   [
     Alcotest.test_case "clean baseline" `Quick test_clean_baseline;
@@ -395,4 +433,6 @@ let suite =
     Alcotest.test_case "report and action order" `Quick test_report_order;
     Alcotest.test_case "repair leaves nothing to settle" `Slow
       test_repair_leaves_nothing_to_settle;
+    Alcotest.test_case "repair reports match fresh checks" `Slow
+      test_repair_reports_match_checks;
   ]

@@ -306,6 +306,62 @@ let prop_bitset_matches_intset =
             && Bitset.is_empty b = IntSet.is_empty !model)
         ops)
 
+(* The bulk loader behind the allocator's free maps: loading a
+   byte-per-slot map must give the set a [set] per zero byte builds,
+   before and after further set/clear traffic. Lengths straddle the
+   word size (0, 1, 31, 32, 33) and reach a whole 16 MB group's map. *)
+let prop_bitset_load_matches_sets =
+  let gen =
+    QCheck.Gen.(
+      let* len =
+        frequency
+          [ (3, oneofl [ 0; 1; 31; 32; 33; 16384 ]); (2, int_bound 3000) ]
+      in
+      let* density = float_bound_inclusive 1.0 in
+      let* seed = int in
+      let* ops =
+        list_size (0 -- 50)
+          (pair bool (int_bound (len + 100)))
+      in
+      return (len, density, seed, ops))
+  in
+  let print (len, density, seed, ops) =
+    Printf.sprintf "len=%d density=%.2f seed=%d ops=%d" len density seed
+      (List.length ops)
+  in
+  QCheck.Test.make ~name:"bitset bulk load matches per-bit sets" ~count:100
+    (QCheck.make ~print gen)
+    (fun (len, density, seed, ops) ->
+      let rng = Random.State.make [| seed |] in
+      let map =
+        Bytes.init len (fun _ ->
+            if Random.State.float rng 1.0 < density then '\000' else '\001')
+      in
+      let loaded = Bitset.create () in
+      (* start from a non-empty set: the load replaces, not unions *)
+      Bitset.set loaded (len + 7);
+      Bitset.load_zero_bytes loaded map;
+      let built = Bitset.create () in
+      Bytes.iteri (fun i c -> if c = '\000' then Bitset.set built i) map;
+      let same () =
+        let ok = ref true in
+        for i = 0 to len + 130 do
+          if Bitset.mem loaded i <> Bitset.mem built i
+             || Bitset.next_geq loaded i <> Bitset.next_geq built i
+          then ok := false
+        done;
+        !ok
+        && Bitset.min_elt loaded = Bitset.min_elt built
+        && Bitset.is_empty loaded = Bitset.is_empty built
+      in
+      same ()
+      && List.for_all
+           (fun (add, i) ->
+             if add then (Bitset.set loaded i; Bitset.set built i)
+             else (Bitset.clear loaded i; Bitset.clear built i);
+             same ())
+           ops)
+
 (* Itbl backs the driver's dispatch index; check it against the stdlib
    hash table. Keys are drawn from a small range against a tiny
    initial capacity so probe clusters, growth, and backward-shift
@@ -400,6 +456,15 @@ let test_bitset_growth_and_bounds () =
   Alcotest.(check int) "min after clear" 100_000 (Bitset.min_elt b);
   Bitset.clear b 100_000;
   Alcotest.(check bool) "empty again" true (Bitset.is_empty b);
+  (* growth that adds levels keeps summarizing the members below it *)
+  let g = Bitset.create () in
+  Bitset.set g 0;
+  Bitset.set g 40;
+  Bitset.set g 5000;
+  Bitset.clear g 5000;
+  Bitset.clear g 40;
+  Alcotest.(check bool) "not empty after growth" false (Bitset.is_empty g);
+  Alcotest.(check int) "min after growth" 0 (Bitset.min_elt g);
   (* members are visited in increasing order *)
   List.iter (Bitset.set b) [ 9; 3; 500; 77 ];
   let seen = ref [] in
@@ -422,6 +487,7 @@ let suite =
     Alcotest.test_case "lru find skips" `Quick test_lru_find_skips;
     QCheck_alcotest.to_alcotest prop_lru_matches_model;
     QCheck_alcotest.to_alcotest prop_bitset_matches_intset;
+    QCheck_alcotest.to_alcotest prop_bitset_load_matches_sets;
     Alcotest.test_case "bitset growth and bounds" `Quick
       test_bitset_growth_and_bounds;
     QCheck_alcotest.to_alcotest prop_itbl_matches_model;
