@@ -1,12 +1,12 @@
 (* Benchmark harness: regenerates every figure and table of the
-   paper's evaluation (section 5 plus the section 3 comparisons).
+   paper's evaluation (section 5 plus the section 3 comparisons), and
+   runs the host-side perf sections.
 
    Usage:
      dune exec bench/main.exe                 # everything, full scale
      dune exec bench/main.exe -- --quick      # reduced workloads
      dune exec bench/main.exe -- fig5 tab2    # selected experiments
      dune exec bench/main.exe -- --jobs 4     # figure runs over 4 domains
-     dune exec bench/main.exe -- --micro      # Bechamel micro-benchmarks
      dune exec bench/main.exe -- --hotpaths [--json BENCH_hotpaths.json]
                                               # dispatch/eviction hot paths
      dune exec bench/main.exe -- --crashsweep [--json BENCH_crashsweep.json]
@@ -15,9 +15,15 @@
                                               # load engine + dir-scale gates
      dune exec bench/main.exe -- --corrupt [--json BENCH_corrupt.json]
                                               # checksum overhead + gates
+     dune exec bench/main.exe -- --volume [--json BENCH_volume.json]
+                                              # compact volume image
      dune exec bench/main.exe -- --fsck [--json BENCH_fsck.json]
                                               # recovery time vs volume size
-     dune exec bench/main.exe -- --list       # available ids *)
+     dune exec bench/main.exe -- --list       # available ids
+
+   Every perf section returns a list of {bench, layer, metric, value,
+   unit, gate} records: [report] prints them, writes them as one JSON
+   list with --json, then checks every gate and exits 1 if one fails. *)
 
 let available =
   [ "fig1"; "fig2"; "fig3"; "fig4"; "fig5"; "tab1"; "tab2"; "tab3"; "fig6";
@@ -31,23 +37,20 @@ let usage () =
      \n\
      options:\n\
      \  --quick         reduced workload sizes (smoke scale)\n\
-     \  --jobs N        worker domains for figure runs and --crashsweep\n\
-     \                  (default 1 = serial; 0 = one per core); results\n\
-     \                  and output are byte-identical at any value\n\
+     \  --jobs N        worker domains for figure runs, --hotpaths and\n\
+     \                  --crashsweep (default 1 = serial; 0 = one per\n\
+     \                  core); results and output are byte-identical at\n\
+     \                  any value\n\
      \  --list          print available experiment ids\n\
-     \  --micro         Bechamel micro-benchmarks of the core structures\n\
-     \  --hotpaths      driver-dispatch / cache-eviction hot paths\n\
-     \  --min-driver-eps N\n\
-     \                  with --hotpaths: exit 1 if any driver-burst-*\n\
-     \                  benchmark falls below N events/sec (a generous\n\
-     \                  anti-regression floor for CI, not a target)\n\
+     \  --hotpaths      driver-dispatch / cache-eviction hot paths; gate:\n\
+     \                  every driver-burst-* runs >= 20000 events/s\n\
      \  --crashsweep    crash-state materialization (delta log vs deep\n\
      \                  copy) and full-sweep scaling across the pool;\n\
      \                  gate: the jobs=1 sweep allocates <= 380k words\n\
      \                  per verified state\n\
-     \  --loadgen       load-engine steady state (zero-major assertion)\n\
-     \                  and directory-scale lookups (10k entries gated\n\
-     \                  within 2x of 100); exit 1 on a failed gate\n\
+     \  --loadgen       load-engine steady state (zero-major gate) and\n\
+     \                  directory-scale lookups (10k entries gated\n\
+     \                  within 2x of 100)\n\
      \  --corrupt       checksum overhead: driver burst and loadgen\n\
      \                  steady loops with the digest region off vs on;\n\
      \                  gates: checksummed steady loop still runs zero\n\
@@ -57,89 +60,191 @@ let usage () =
      \                  gate, and the load engine on the big volume\n\
      \  --fsck          recovery time: fsck check, repair and remount of a\n\
      \                  crashed soft-updates volume at 64 MB, 256 MB and\n\
-     \                  1 GB (--quick: 64 MB only); gate: check <= 3 us\n\
-     \                  per live inode at 1 GB\n\
-     \  --json PATH     write results JSON: experiment tables (the\n\
-     \                  document EXPERIMENTS.md specifies), or the\n\
-     \                  --hotpaths/--crashsweep perf records\n\
+     \                  1 GB (--quick: 64 MB only); gates: the crashed\n\
+     \                  image checks clean, repair converges, check <= 3\n\
+     \                  us per live inode at 1 GB\n\
+     \  --json PATH     write results JSON: the experiment tables (the\n\
+     \                  document EXPERIMENTS.md specifies), or a perf\n\
+     \                  section's records, a list of {bench, layer,\n\
+     \                  metric, value, unit, gate} objects\n\
      \  --assert-shapes PATH\n\
      \                  parse an experiments JSON written by --json and\n\
      \                  check the calibrated shape claims (exit 1 on any\n\
      \                  failure); runs no experiments itself\n\
-     \  --help          this text\n"
+     \  --help          this text\n\
+     \n\
+     A perf section exits 1 if any gate fails, after writing --json.\n"
 
-(* --- Bechamel micro-benchmarks of the core data structures ------------- *)
+(* --- bench records ------------------------------------------------------ *)
 
-let micro () =
-  let open Bechamel in
-  let engine_bench =
-    Test.make ~name:"engine 1000 events"
-      (Staged.stage (fun () ->
-           let e = Su_sim.Engine.create () in
-           for i = 1 to 1000 do
-             Su_sim.Engine.at e (float_of_int i *. 0.001) (fun () -> ())
-           done;
-           Su_sim.Engine.run e))
+(* Both bounds are inclusive. *)
+type gate = Max of float | Min of float
+
+type record = {
+  bench : string;
+  layer : string;
+  metric : string;
+  value : float;
+  unit : string;
+  gate : gate option;
+}
+
+let record ?gate bench layer metric unit value =
+  { bench; layer; metric; value; unit; gate }
+
+let count ?gate bench layer metric n =
+  record ?gate bench layer metric "count" (float_of_int n)
+
+(* A section's knobs, under the bench "<section>-quick" or
+   "<section>-full": the record that names a file's scale. *)
+let harness section ~quick knobs =
+  let bench = section ^ if quick then "-quick" else "-full" in
+  List.map (fun (metric, n) -> count bench "harness" metric n) knobs
+
+let value_of records bench metric =
+  (List.find (fun r -> r.bench = bench && r.metric = metric) records).value
+
+let passes r =
+  match r.gate with
+  | None -> true
+  | Some (Max b) -> r.value <= b
+  | Some (Min b) -> r.value >= b
+
+let json_of_record r =
+  let open Su_obs.Json in
+  Obj
+    [ ("bench", Str r.bench);
+      ("layer", Str r.layer);
+      ("metric", Str r.metric);
+      ("value", Float r.value);
+      ("unit", Str r.unit);
+      ( "gate",
+        match r.gate with
+        | None -> Null
+        | Some (Max b) -> Obj [ ("max", Float b) ]
+        | Some (Min b) -> Obj [ ("min", Float b) ] )
+    ]
+
+let write_json path doc =
+  try
+    let oc = open_out path in
+    output_string oc (Su_obs.Json.to_string_pretty doc);
+    output_char oc '\n';
+    close_out oc;
+    Printf.printf "# wrote %s\n" path
+  with Sys_error e ->
+    Printf.eprintf "cannot write %s: %s\n" path e;
+    exit 2
+
+let fmt_value v =
+  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
+  else if Float.abs v >= 1000. then Printf.sprintf "%.1f" v
+  else Printf.sprintf "%.4g" v
+
+let fmt_gate = function
+  | None -> ""
+  | Some (Max b) -> Printf.sprintf "  (gate <= %g)" b
+  | Some (Min b) -> Printf.sprintf "  (gate >= %g)" b
+
+(* Print every record, write them to [json_path], then check every
+   gate: exit 1 if any fails, with the file already written. *)
+let report ~json_path records =
+  List.iter
+    (fun r ->
+      Printf.printf "%-34s %-9s %-28s %14s %s%s\n" r.bench r.layer r.metric
+        (fmt_value r.value) r.unit (fmt_gate r.gate))
+    records;
+  Option.iter
+    (fun path ->
+      write_json path (Su_obs.Json.List (List.map json_of_record records)))
+    json_path;
+  let failed = List.filter (fun r -> not (passes r)) records in
+  List.iter
+    (fun r ->
+      Printf.eprintf "FAIL: %s/%s/%s = %s %s%s\n" r.bench r.layer r.metric
+        (fmt_value r.value) r.unit (fmt_gate r.gate))
+    failed;
+  if failed <> [] then exit 1
+
+(* --- timed runs --------------------------------------------------------- *)
+
+(* [ops] operations in [wall] host seconds, with the minor-heap words
+   per op and the major collections over the same bracket. *)
+type run = { ops : int; wall : float; words_per_op : float; majors : int }
+
+(* Bracket [f] with [Gc.quick_stat] after a full major; [f] returns its
+   op count and a value of its own. *)
+let measure f =
+  Gc.full_major ();
+  let s0 = Gc.quick_stat () in
+  let t0 = Unix.gettimeofday () in
+  let ops, x = f () in
+  let wall = Unix.gettimeofday () -. t0 in
+  let s1 = Gc.quick_stat () in
+  ( { ops;
+      wall;
+      words_per_op =
+        (s1.Gc.minor_words -. s0.Gc.minor_words) /. float_of_int (max 1 ops);
+      majors = s1.Gc.major_collections - s0.Gc.major_collections
+    },
+    x )
+
+(* The fastest of [reps] runs: wall times of milliseconds to seconds
+   are at the mercy of scheduler noise, and the minimum is the stable
+   estimate of what the code itself costs. Allocation counts are
+   deterministic per run, so they come from the same run. *)
+let best_of reps bench =
+  let best = ref (bench ()) in
+  for _ = 2 to reps do
+    let r = bench () in
+    if (fst r).wall < (fst !best).wall then best := r
+  done;
+  !best
+
+(* A run as records named after its op ([per] "event", "op", ...),
+   plus the bench's own (metric, unit, value) [extra]s; [gates] maps a
+   metric to its gate. *)
+let run_records ?(gates = []) ~per bench layer (r, extra) =
+  let rec_ metric unit v =
+    record ?gate:(List.assoc_opt metric gates) bench layer metric unit v
   in
-  let proc_bench =
-    Test.make ~name:"spawn/join 100 processes"
-      (Staged.stage (fun () ->
-           let e = Su_sim.Engine.create () in
-           for _ = 1 to 100 do
-             ignore (Su_sim.Proc.spawn e (fun () -> Su_sim.Proc.sleep e 0.01))
-           done;
-           Su_sim.Engine.run e))
+  [ rec_ (per ^ "s") "count" (float_of_int r.ops);
+    rec_ "wall_s" "s" r.wall;
+    rec_ (per ^ "s_per_sec") "1/s"
+      (if r.wall > 0.0 then float_of_int r.ops /. r.wall else 0.0);
+    rec_ ("minor_words_per_" ^ per) "words" r.words_per_op;
+    rec_ "major_collections" "count" (float_of_int r.majors)
+  ]
+  @ List.map (fun (metric, unit, v) -> rec_ metric unit v) extra
+
+(* Best-of-[reps] records for every (bench, layer, gates, run) in
+   [benches], fanned over [jobs] domains and merged by index, so the
+   records come out in list order at any [jobs]. *)
+let run_benches ?jobs ~reps ~per benches =
+  let benches = Array.of_list benches in
+  let runs =
+    Su_util.Pool.map ?jobs (Array.length benches) (fun i ->
+        let _, _, _, bench = benches.(i) in
+        best_of reps bench)
   in
-  let seek_bench =
-    Test.make ~name:"seek curve x10000"
-      (Staged.stage (fun () ->
-           let p = Su_disk.Disk_params.hp_c2447 in
-           for d = 0 to 9999 do
-             ignore (Su_disk.Disk_params.seek_time p (d mod 2000))
-           done))
-  in
-  let rng_bench =
-    Test.make ~name:"rng 10000 draws"
-      (Staged.stage (fun () ->
-           let r = Su_util.Rng.create 1 in
-           for _ = 1 to 10_000 do
-             ignore (Su_util.Rng.int r 1000)
-           done))
-  in
-  let tests =
-    Test.make_grouped ~name:"core"
-      [ engine_bench; proc_bench; seek_bench; rng_bench ]
-  in
-  let benchmark () =
-    let instances = Toolkit.Instance.[ monotonic_clock ] in
-    let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
-    Benchmark.all cfg instances tests
-  in
-  let results = benchmark () in
-  (* Bechamel's analysis: ordinary least squares against run count *)
-  let ols =
-    Bechamel.Analyze.ols ~bootstrap:0 ~r_square:true
-      ~predictors:[| Bechamel.Measure.run |]
-  in
-  let results =
-    Bechamel.Analyze.all ols Bechamel.Toolkit.Instance.monotonic_clock results
-  in
-  Hashtbl.iter
-    (fun name result ->
-      match Bechamel.Analyze.OLS.estimates result with
-      | Some [ est ] -> Printf.printf "%-32s %12.1f ns/run\n" name est
-      | Some _ | None -> Printf.printf "%-32s (no estimate)\n" name)
-    results
+  List.concat
+    (List.mapi
+       (fun i (name, layer, gates, _) ->
+         run_records ~gates ~per name layer runs.(i))
+       (Array.to_list benches))
 
 (* --- hot-path micro-benchmarks ----------------------------------------- *)
 
 (* Stress the two structures the paper's burst scenarios lean on: the
    driver dispatch queue under thousands of simultaneously pending
    requests (No Order / Soft Updates delayed-write bursts) and the
-   buffer-cache eviction path. Results go to BENCH_hotpaths.json so
-   the perf trajectory is tracked across PRs. *)
+   buffer-cache eviction path. Gate: every driver burst runs at least
+   [driver_eps_floor] events/s, deliberately generous (real numbers are
+   20-50x higher) so throttled CI machines pass while genuine perf-path
+   regressions still trip it. *)
 
 let hotpath_scale quick = if quick then 2_000 else 10_000
+let driver_eps_floor = 20_000.
 
 let mk_disk_driver ?(checksums = false) ~mode ~policy () =
   let e = Su_sim.Engine.create () in
@@ -198,24 +303,15 @@ let bench_driver_burst ~mode ?(policy = Su_driver.Driver.Clook)
     in
     if is_write then prev := id
   done;
-  (* BENCH_ALLOC_PROBE=1 isolates the drain phase — the steady-state
-     event loop with no submissions — and prints its minor-heap words
-     and microseconds per request to stderr. This is the number behind
-     the "near-zero allocation per event" budget in HACKING.md. *)
-  (if Sys.getenv_opt "BENCH_ALLOC_PROBE" <> None then begin
-     let w0 = Gc.minor_words () in
-     let t0 = Unix.gettimeofday () in
-     Su_sim.Engine.run e;
-     let dt = Unix.gettimeofday () -. t0 in
-     let w1 = Gc.minor_words () in
-     Printf.eprintf "drain: %.1f words/req, %.2f us/req (%d events executed)\n%!"
-       ((w1 -. w0) /. float_of_int n)
-       (dt /. float_of_int n *. 1e6)
-       (Su_sim.Engine.events_executed e)
-   end
-   else Su_sim.Engine.run e);
+  (* The drain alone — the steady-state event loop with no
+     submissions: engine dispatch, disk completion, driver re-dispatch,
+     trace accounting. Its words per request back the "near-zero
+     allocation per event" budget in HACKING.md. *)
+  let w0 = Gc.minor_words () in
+  Su_sim.Engine.run e;
+  let drain_words = (Gc.minor_words () -. w0) /. float_of_int n in
   assert (!done_ = n);
-  n
+  (n, [ ("drain_words_per_request", "words", drain_words) ])
 
 (* [n] buffer allocations through a small cache: every allocation past
    capacity must select and evict the LRU clean victim. *)
@@ -237,7 +333,7 @@ let bench_cache_evict n () =
            Su_cache.Bcache.release bc b
          done));
   Su_sim.Engine.run e;
-  n
+  (n, [])
 
 (* Dirty [n] buffers, then flush them all: sync_all walks the dirty
    set and the driver drains an [n]-deep unordered write burst. *)
@@ -261,116 +357,37 @@ let bench_cache_sync_all n () =
          done;
          Su_cache.Bcache.sync_all bc));
   Su_sim.Engine.run e;
-  n
+  (n, [])
 
-let hotpath_benches n =
-  [
-    ( "driver-burst-unordered-clook",
-      bench_driver_burst ~mode:Su_driver.Ordering.Unordered n );
-    ( "driver-burst-unordered-fcfs",
-      bench_driver_burst ~mode:Su_driver.Ordering.Unordered
-        ~policy:Su_driver.Driver.Fcfs n );
-    ( "driver-burst-part-nr",
-      bench_driver_burst
-        ~mode:(Su_driver.Ordering.Flag { sem = Su_driver.Ordering.Part; nr = true })
-        ~flag_every:16 ~read_every:8 n );
-    ( "driver-burst-chains",
-      bench_driver_burst
-        ~mode:(Su_driver.Ordering.Chains { nr = true })
-        ~chain:true n );
-    ("cache-evict-clean", bench_cache_evict n);
-    ("cache-sync-all", bench_cache_sync_all n);
-  ]
+(* A staged bench measured: build its world, then time the run. *)
+let staged bench () = measure (bench ())
 
-(* Each benchmark runs bracketed by [Gc.quick_stat] so the zero-alloc
-   claim on the event core is a measured number: minor-heap words per
-   event and major collections, persisted alongside the throughput. *)
-let run_hotpaths ~quick ~jobs ~json_path ~min_driver_eps =
+let run_hotpaths ~quick ~jobs =
   let n = hotpath_scale quick in
-  let benches = Array.of_list (hotpath_benches n) in
-  (* Fan independent benchmark worlds across the pool; results are
-     merged (and printed) by index, so names/events are byte-identical
-     at any --jobs value — only the timings vary.
-
-     Each bench runs [reps] times in a fresh world and the fastest rep
-     is recorded: per-run wall times of 10-30 ms are at the mercy of
-     scheduler noise, and the minimum is the standard stable estimate
-     of what the code itself costs. Allocation counts are per-rep
-     deterministic, so they come from the same (fastest) rep. *)
   let reps = if quick then 2 else 7 in
-  let results =
-    Su_util.Pool.map ~jobs (Array.length benches) (fun i ->
-        let name, bench = benches.(i) in
-        let best = ref None in
-        for _ = 1 to reps do
-          let run = bench () in
-          Gc.full_major ();
-          let s0 = Gc.quick_stat () in
-          let t0 = Unix.gettimeofday () in
-          let events = run () in
-          let wall = Unix.gettimeofday () -. t0 in
-          let s1 = Gc.quick_stat () in
-          let eps = if wall > 0.0 then float_of_int events /. wall else 0.0 in
-          let words_per_event =
-            (s1.Gc.minor_words -. s0.Gc.minor_words) /. float_of_int events
-          in
-          let majors = s1.Gc.major_collections - s0.Gc.major_collections in
-          match !best with
-          | Some (_, _, best_wall, _, _, _) when best_wall <= wall -> ()
-          | _ -> best := Some (name, events, wall, eps, words_per_event, majors)
-        done;
-        match !best with
-        | Some r -> r
-        | None -> (name, 0, 0.0, 0.0, 0.0, 0))
+  let burst name bench =
+    (name, "driver", [ ("events_per_sec", Min driver_eps_floor) ], staged bench)
   in
-  Array.iter
-    (fun (name, events, wall, eps, wpe, majors) ->
-      Printf.printf
-        "%-30s n=%-6d %8.3fs wall %12.0f events/s %9.1f mwords/ev %3d majors\n%!"
-        name events wall eps wpe majors)
-    results;
-  (match json_path with
-   | None -> ()
-   | Some path ->
-     let oc = open_out path in
-     Printf.fprintf oc "{\n  \"scale\": \"%s\",\n  \"requests\": %d,\n"
-       (if quick then "quick" else "full")
-       n;
-     Printf.fprintf oc "  \"results\": [\n";
-     Array.iteri
-       (fun i (name, events, wall, eps, wpe, majors) ->
-         Printf.fprintf oc
-           "    {\"name\": %S, \"events\": %d, \"wall_s\": %.4f, \
-            \"events_per_sec\": %.1f, \"minor_words_per_event\": %.1f, \
-            \"major_collections\": %d}%s\n"
-           name events wall eps wpe majors
-           (if i = Array.length results - 1 then "" else ","))
-       results;
-     Printf.fprintf oc "  ]\n}\n";
-     close_out oc;
-     Printf.printf "# wrote %s\n" path);
-  match min_driver_eps with
-  | None -> ()
-  | Some floor ->
-    let failed = ref false in
-    Array.iter
-      (fun (name, _, _, eps, _, _) ->
-        if
-          String.length name >= 12
-          && String.sub name 0 12 = "driver-burst"
-          && eps < floor
-        then begin
-          failed := true;
-          Printf.eprintf "FAIL: %s at %.0f events/s is below the %.0f floor\n"
-            name eps floor
-        end)
-      results;
-    if !failed then exit 1
+  let open Su_driver in
+  harness "hotpaths" ~quick [ ("requests", n); ("reps", reps) ]
+  @ run_benches ~jobs ~reps ~per:"event"
+      [ burst "driver-burst-unordered-clook"
+          (bench_driver_burst ~mode:Ordering.Unordered n);
+        burst "driver-burst-unordered-fcfs"
+          (bench_driver_burst ~mode:Ordering.Unordered ~policy:Driver.Fcfs n);
+        burst "driver-burst-part-nr"
+          (bench_driver_burst
+             ~mode:(Ordering.Flag { sem = Ordering.Part; nr = true })
+             ~flag_every:16 ~read_every:8 n);
+        burst "driver-burst-chains"
+          (bench_driver_burst ~mode:(Ordering.Chains { nr = true }) ~chain:true n);
+        ("cache-evict-clean", "cache", [], staged (bench_cache_evict n));
+        ("cache-sync-all", "cache", [], staged (bench_cache_sync_all n))
+      ]
 
 (* --- crash-state materialization + sweep scaling ----------------------- *)
 
-(* Two measurements per built-in workload, written to
-   BENCH_crashsweep.json so the perf trajectory is tracked across PRs:
+(* Three measurements per built-in workload:
 
    1. materialization throughput: producing the durable image at every
       crash state (each write boundary + every torn prefix), comparing
@@ -470,10 +487,10 @@ let time_states f states =
   let wall = Unix.gettimeofday () -. t0 in
   float_of_int !total /. wall
 
-let run_crashsweep ~quick ~jobs ~json_path =
+let run_crashsweep ~quick ~jobs =
   let jobs_n = Su_util.Pool.resolve_jobs jobs in
   let max_boundaries = if quick then Some 30 else None in
-  let results =
+  let per_workload =
     List.map
       (fun wl ->
         let r = Explorer.record ~cfg:crashsweep_cfg wl in
@@ -492,72 +509,42 @@ let run_crashsweep ~quick ~jobs ~json_path =
            allocated_words () -. w0)
         in
         let s1, wall1, sps1, words1 = sweep_at 1 in
-        let _sn, walln, spsn, _ = sweep_at jobs_n in
-        Printf.printf
-          "%-12s states=%-5d materialize: deepcopy %10.0f/s  delta %12.0f/s \
-           (%5.1fx)\n"
-          wl.Explorer.wl_name (Array.length states) deep_sps delta_sps
-          (delta_sps /. deep_sps);
-        Printf.printf
-          "%-12s sweep: jobs=1 %6.2fs (%5.1f states/s)   jobs=%d %6.2fs \
-           (%5.1f states/s)\n%!"
-          "" wall1 sps1 jobs_n walln spsn;
-        Printf.printf "%-12s alloc: %.0f words/state (jobs=1)\n%!" ""
-          (words1 /. float_of_int s1.Explorer.s_states);
-        (wl.Explorer.wl_name, s1, Array.length states, deep_sps, delta_sps,
-         wall1, sps1, walln, spsn, words1))
+        let _, walln, spsn, _ = sweep_at jobs_n in
+        let bench =
+          String.concat "-"
+            ("crashsweep" :: wl.Explorer.wl_name
+             :: String.split_on_char ' '
+                  (String.lowercase_ascii
+                     (Su_fs.Fs.scheme_kind_name s1.Explorer.s_scheme)))
+        in
+        let r = record bench in
+        ( words1,
+          s1.Explorer.s_states,
+          [ count bench "explorer" "writes" s1.Explorer.s_writes;
+            count bench "explorer" "states" (Array.length states);
+            r "delta" "deepcopy_states_per_sec" "1/s" deep_sps;
+            r "delta" "delta_states_per_sec" "1/s" delta_sps;
+            r "delta" "speedup" "x" (delta_sps /. deep_sps);
+            r "pool" "jobs1_wall_s" "s" wall1;
+            r "pool" "jobs1_states_per_sec" "1/s" sps1;
+            r "pool" "jobsN_wall_s" "s" walln;
+            r "pool" "jobsN_states_per_sec" "1/s" spsn;
+            r "gc" "jobs1_alloc_words_per_state" "words"
+              (words1 /. float_of_int s1.Explorer.s_states)
+          ] ))
       Explorer.builtin_workloads
   in
-  let words, nstates =
-    List.fold_left
-      (fun (w, n) (_, s1, _, _, _, _, _, _, _, words1) ->
-        (w +. words1, n + s1.Explorer.s_states))
-      (0., 0) results
-  in
-  let words_per_state = words /. float_of_int nstates in
-  Printf.printf "# alloc: %.0f words per verified state (gate <= %.0f)\n"
-    words_per_state crashsweep_gate_words_per_state;
-  (match json_path with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    Printf.fprintf oc "{\n  \"scale\": \"%s\",\n  \"jobs\": %d,\n"
-      (if quick then "quick" else "full")
-      jobs_n;
-    Printf.fprintf oc "  \"workloads\": [\n";
-    List.iteri
-      (fun i (name, s1, states, deep, delta, wall1, sps1, walln, spsn, words1) ->
-        Printf.fprintf oc
-          "    {\"name\": %S, \"scheme\": %S, \"writes\": %d, \"states\": %d,\n\
-          \     \"materialize\": {\"deepcopy_states_per_sec\": %.0f, \
-           \"delta_states_per_sec\": %.0f, \"speedup\": %.1f},\n\
-          \     \"sweep\": {\"jobs1_wall_s\": %.3f, \"jobs1_states_per_sec\": \
-           %.1f, \"jobsN\": %d, \"jobsN_wall_s\": %.3f, \
-           \"jobsN_states_per_sec\": %.1f, \
-           \"jobs1_alloc_words_per_state\": %.0f}}%s\n"
-          name
-          (Su_fs.Fs.scheme_kind_name s1.Explorer.s_scheme)
-          s1.Explorer.s_writes states deep delta (delta /. deep) wall1 sps1
-          jobs_n walln spsn
-          (words1 /. float_of_int s1.Explorer.s_states)
-          (if i = List.length results - 1 then "" else ","))
-      results;
-    Printf.fprintf oc
-      "  ],\n  \"alloc_words_per_state\": %.0f,\n  \"alloc_gate\": %.0f\n}\n"
-      words_per_state crashsweep_gate_words_per_state;
-    close_out oc;
-    Printf.printf "# wrote %s\n" path);
-  if words_per_state > crashsweep_gate_words_per_state then begin
-    Printf.printf
-      "FAIL: the jobs=1 sweep allocates %.0f words per verified state \
-       (gate <= %.0f)\n"
-      words_per_state crashsweep_gate_words_per_state;
-    exit 1
-  end
+  let words = List.fold_left (fun a (w, _, _) -> a +. w) 0. per_workload in
+  let nstates = List.fold_left (fun a (_, n, _) -> a + n) 0 per_workload in
+  harness "crashsweep" ~quick [ ("jobs", jobs_n) ]
+  @ List.concat_map (fun (_, _, records) -> records) per_workload
+  @ [ record ~gate:(Max crashsweep_gate_words_per_state) "crashsweep" "gc"
+        "alloc_words_per_state" "words" (words /. float_of_int nstates)
+    ]
 
 (* --- loadgen steady state + directory-scale hot paths ------------------ *)
 
-(* Three measured claims, written to BENCH_loadgen.json by --json:
+(* Three measured claims:
 
    - loadgen-steady: the open-loop multi-tenant engine at a scale
      whose steady-state loop must complete with ZERO major collections
@@ -570,7 +557,7 @@ let run_crashsweep ~quick ~jobs ~json_path =
      10_000 entries, directory index on. The gate: the 10k rate must
      be within 2x of the 100-entry rate — per-op cost no longer scales
      with directory size. dirscale-10k-scan (index off, fewer ops) is
-     printed for contrast and not gated. *)
+     recorded for contrast and not gated. *)
 
 let bench_dirscale ~index ~files nops () =
   let cfg =
@@ -580,37 +567,40 @@ let bench_dirscale ~index ~files nops () =
   in
   let w = Su_fs.Fs.make cfg in
   let st = w.Su_fs.Fs.st in
-  let result = ref (0.0, 0.0, 0) in
+  let result = ref None in
   let controller () =
     Su_fs.Fsops.mkdir st "/big";
     let names = Array.init files (fun k -> Printf.sprintf "/big/f%06d" k) in
     Array.iter (fun n -> ignore (Su_fs.Fsops.create st n)) names;
     Su_fs.Fsops.sync st;
-    Gc.full_major ();
-    let s0 = Gc.quick_stat () in
-    let t0 = Unix.gettimeofday () in
-    for i = 0 to nops - 1 do
-      match i land 3 with
-      | 0 | 1 -> ignore (Su_fs.Fsops.stat st names.(i * 7919 mod files))
-      | 2 -> ignore (Su_fs.Fsops.create st "/big/xchurn")
-      | _ -> Su_fs.Fsops.unlink st "/big/xchurn"
-    done;
-    let wall = Unix.gettimeofday () -. t0 in
-    let s1 = Gc.quick_stat () in
     result :=
-      ( wall,
-        (s1.Gc.minor_words -. s0.Gc.minor_words) /. float_of_int nops,
-        s1.Gc.major_collections - s0.Gc.major_collections );
+      Some
+        (measure (fun () ->
+             for i = 0 to nops - 1 do
+               match i land 3 with
+               | 0 | 1 -> ignore (Su_fs.Fsops.stat st names.(i * 7919 mod files))
+               | 2 -> ignore (Su_fs.Fsops.create st "/big/xchurn")
+               | _ -> Su_fs.Fsops.unlink st "/big/xchurn"
+             done;
+             (nops, [])));
     Su_fs.Fs.stop w;
     Su_driver.Driver.quiesce w.Su_fs.Fs.driver;
     Su_sim.Engine.stop w.Su_fs.Fs.engine
   in
   ignore (Su_sim.Proc.spawn w.Su_fs.Fs.engine ~name:"dirscale" controller);
   Su_sim.Engine.run w.Su_fs.Fs.engine;
-  let wall, wpo, majors = !result in
-  (nops, wall, wpo, majors)
+  Option.get !result
 
-let bench_loadgen_steady ?(checksums = false) ~quick () =
+(* Loadgen's own steady-window measurement as a run. *)
+let loadgen_run (r : Su_workload.Loadgen.report) =
+  let ops = r.Su_workload.Loadgen.executed in
+  { ops;
+    wall = r.Su_workload.Loadgen.host_wall_s;
+    words_per_op = r.Su_workload.Loadgen.minor_words /. float_of_int (max 1 ops);
+    majors = r.Su_workload.Loadgen.major_collections
+  }
+
+let bench_loadgen_steady ~checksums ~quick () =
   let base = Su_workload.Loadgen.config ~scheme:Su_fs.Fs.Soft_updates () in
   let cfg =
     { base with
@@ -628,225 +618,77 @@ let bench_loadgen_steady ?(checksums = false) ~quick () =
         { cfg.Su_workload.Loadgen.fs_cfg with Su_fs.Fs.checksums }
     }
   in
-  let r = Su_workload.Loadgen.run cfg in
-  let ops = r.Su_workload.Loadgen.executed in
-  ( ops,
-    r.Su_workload.Loadgen.host_wall_s,
-    r.Su_workload.Loadgen.minor_words /. float_of_int (max 1 ops),
-    r.Su_workload.Loadgen.major_collections )
+  (loadgen_run (Su_workload.Loadgen.run cfg), [])
 
-let run_loadgen ~quick ~json_path =
+(* the steady loop must not allocate long-lived garbage *)
+let zero_majors = [ ("major_collections", Max 0.) ]
+
+let run_loadgen ~quick ~jobs:_ =
   let reps = if quick then 2 else 3 in
   let nops = if quick then 800 else 4000 in
-  let benches =
-    [ ("loadgen-steady", fun () -> bench_loadgen_steady ~quick ());
-      ("dirscale-100", bench_dirscale ~index:true ~files:100 nops);
-      ("dirscale-10k", bench_dirscale ~index:true ~files:10_000 nops);
-      ("dirscale-10k-scan", bench_dirscale ~index:false ~files:10_000 (nops / 8))
+  let records =
+    run_benches ~reps ~per:"op"
+      [ ( "loadgen-steady", "loadgen", zero_majors,
+          bench_loadgen_steady ~checksums:false ~quick );
+        ("dirscale-100", "dir", [], bench_dirscale ~index:true ~files:100 nops);
+        ( "dirscale-10k", "dir", [],
+          bench_dirscale ~index:true ~files:10_000 nops );
+        ( "dirscale-10k-scan", "dir", [],
+          bench_dirscale ~index:false ~files:10_000 (nops / 8) )
+      ]
+  in
+  let eps bench = value_of records bench "ops_per_sec" in
+  harness "loadgen" ~quick [ ("reps", reps) ]
+  @ records
+  @ [ record ~gate:(Min 0.5) "dirscale-10k" "dir" "ops_per_sec_ratio_vs_100" "x"
+        (eps "dirscale-10k" /. eps "dirscale-100")
     ]
-  in
-  (* best-of-[reps] per bench, as in --hotpaths: wall times of seconds
-     are noisy, the minimum is the stable estimate; GC counts come
-     from the same (fastest) rep. *)
-  let results =
-    List.map
-      (fun (name, bench) ->
-        let best = ref None in
-        for _ = 1 to reps do
-          let ops, wall, wpo, majors = bench () in
-          let eps = if wall > 0.0 then float_of_int ops /. wall else 0.0 in
-          match !best with
-          | Some (_, _, best_wall, _, _, _) when best_wall <= wall -> ()
-          | _ -> best := Some (name, ops, wall, eps, wpo, majors)
-        done;
-        match !best with
-        | Some r -> r
-        | None -> (name, 0, 0.0, 0.0, 0.0, 0))
-      benches
-  in
-  List.iter
-    (fun (name, ops, wall, eps, wpo, majors) ->
-      Printf.printf
-        "%-30s n=%-6d %8.3fs wall %12.0f ops/s %9.1f mwords/op %3d majors\n%!"
-        name ops wall eps wpo majors)
-    results;
-  let eps_of n =
-    let (_, _, _, eps, _, _) =
-      List.find (fun (name, _, _, _, _, _) -> name = n) results
-    in
-    eps
-  in
-  let ratio = eps_of "dirscale-10k" /. eps_of "dirscale-100" in
-  Printf.printf "# dirscale-10k / dirscale-100 ops/s ratio %.2f (gate >= 0.5)\n"
-    ratio;
-  (match json_path with
-   | None -> ()
-   | Some path ->
-     let oc = open_out path in
-     Printf.fprintf oc "{\n  \"scale\": \"%s\",\n"
-       (if quick then "quick" else "full");
-     Printf.fprintf oc "  \"results\": [\n";
-     List.iteri
-       (fun i (name, ops, wall, eps, wpo, majors) ->
-         Printf.fprintf oc
-           "    {\"name\": %S, \"ops\": %d, \"wall_s\": %.4f, \
-            \"ops_per_sec\": %.1f, \"minor_words_per_op\": %.1f, \
-            \"major_collections\": %d}%s\n"
-           name ops wall eps wpo majors
-           (if i = List.length results - 1 then "" else ","))
-       results;
-     Printf.fprintf oc "  ],\n  \"dirscale_ratio_10k_vs_100\": %.3f\n}\n" ratio;
-     close_out oc;
-     Printf.printf "# wrote %s\n" path);
-  let failed = ref false in
-  let (_, _, _, _, _, steady_majors) =
-    List.find (fun (name, _, _, _, _, _) -> name = "loadgen-steady") results
-  in
-  if steady_majors <> 0 then begin
-    failed := true;
-    Printf.eprintf
-      "FAIL: loadgen-steady ran %d major collections (want 0: the steady \
-       loop must not allocate long-lived garbage)\n"
-      steady_majors
-  end;
-  if ratio < 0.5 then begin
-    failed := true;
-    Printf.eprintf
-      "FAIL: dirscale-10k at %.2fx of dirscale-100 is outside the 2x gate\n"
-      ratio
-  end;
-  if !failed then exit 1
 
 (* --- checksum overhead ------------------------------------------------- *)
 
 (* What turning `checksums` on costs on the two loops the perf story
-   rests on, written to BENCH_corrupt.json: the driver write burst
-   (every acknowledged write now folds its payload into the digest
-   region) and the loadgen steady loop (whole-engine ops/sec with a
-   checksummed world under every shard). Two gates, exit 1 on either:
-   the checksummed steady loop must still run zero major collections —
-   digest upkeep is in-place int stores, not allocation — and the
-   checksummed burst must stay within 2x of the plain one. *)
+   rests on: the driver write burst (every acknowledged write now folds
+   its payload into the digest region) and the loadgen steady loop
+   (whole-engine ops/sec with a checksummed world under every shard).
+   Two gates: the checksummed steady loop must still run zero major
+   collections — digest upkeep is in-place int stores, not allocation —
+   and the checksummed burst must stay within 2x of the plain one. *)
 
-let run_corrupt ~quick ~json_path =
+let run_corrupt ~quick ~jobs:_ =
   let n = hotpath_scale quick in
   let reps = if quick then 2 else 5 in
-  (* staged benches bracket the timed run here (as in --hotpaths);
-     loadgen reports its own steady-window measurements *)
-  let measure_staged bench =
-    let run = bench () in
-    Gc.full_major ();
-    let s0 = Gc.quick_stat () in
-    let t0 = Unix.gettimeofday () in
-    let events = run () in
-    let wall = Unix.gettimeofday () -. t0 in
-    let s1 = Gc.quick_stat () in
-    ( events,
-      wall,
-      (s1.Gc.minor_words -. s0.Gc.minor_words) /. float_of_int events,
-      s1.Gc.major_collections - s0.Gc.major_collections )
-  in
-  let benches =
-    [ ( "driver-burst-plain",
-        fun () ->
-          measure_staged
-            (bench_driver_burst ~mode:Su_driver.Ordering.Unordered n) );
-      ( "driver-burst-csum",
-        fun () ->
-          measure_staged
+  let records =
+    run_benches ~reps ~per:"op"
+      [ ( "driver-burst-plain", "driver", [],
+          staged (bench_driver_burst ~mode:Su_driver.Ordering.Unordered n) );
+        ( "driver-burst-csum", "driver", [],
+          staged
             (bench_driver_burst ~mode:Su_driver.Ordering.Unordered
                ~checksums:true n) );
-      ("loadgen-steady-plain", fun () -> bench_loadgen_steady ~quick ());
-      ( "loadgen-steady-csum",
-        fun () -> bench_loadgen_steady ~checksums:true ~quick () )
+        ( "loadgen-steady-plain", "loadgen", [],
+          bench_loadgen_steady ~checksums:false ~quick );
+        ( "loadgen-steady-csum", "loadgen", zero_majors,
+          bench_loadgen_steady ~checksums:true ~quick )
+      ]
+  in
+  let eps bench = value_of records bench "ops_per_sec" in
+  let overhead_pct layer plain csum =
+    let p = eps plain and c = eps csum in
+    record csum layer "overhead_pct" "%"
+      (if c > 0.0 then (p /. c -. 1.0) *. 100.0 else infinity)
+  in
+  harness "corrupt" ~quick [ ("requests", n); ("reps", reps) ]
+  @ records
+  @ [ overhead_pct "driver" "driver-burst-plain" "driver-burst-csum";
+      overhead_pct "loadgen" "loadgen-steady-plain" "loadgen-steady-csum";
+      record ~gate:(Min 0.5) "driver-burst-csum" "driver"
+        "ops_per_sec_ratio_vs_plain" "x"
+        (eps "driver-burst-csum" /. eps "driver-burst-plain")
     ]
-  in
-  let results =
-    List.map
-      (fun (name, bench) ->
-        let best = ref None in
-        for _ = 1 to reps do
-          let ops, wall, wpo, majors = bench () in
-          let eps = if wall > 0.0 then float_of_int ops /. wall else 0.0 in
-          match !best with
-          | Some (_, _, best_wall, _, _, _) when best_wall <= wall -> ()
-          | _ -> best := Some (name, ops, wall, eps, wpo, majors)
-        done;
-        match !best with
-        | Some r -> r
-        | None -> (name, 0, 0.0, 0.0, 0.0, 0))
-      benches
-  in
-  List.iter
-    (fun (name, ops, wall, eps, wpo, majors) ->
-      Printf.printf
-        "%-30s n=%-6d %8.3fs wall %12.0f ops/s %9.1f mwords/op %3d majors\n%!"
-        name ops wall eps wpo majors)
-    results;
-  let eps_of n =
-    let (_, _, _, eps, _, _) =
-      List.find (fun (name, _, _, _, _, _) -> name = n) results
-    in
-    eps
-  in
-  let overhead plain csum =
-    let p = eps_of plain and c = eps_of csum in
-    if c > 0.0 then (p /. c -. 1.0) *. 100.0 else infinity
-  in
-  let burst_pct = overhead "driver-burst-plain" "driver-burst-csum" in
-  let steady_pct = overhead "loadgen-steady-plain" "loadgen-steady-csum" in
-  Printf.printf "# checksum overhead: driver burst %+.1f%%, steady loop %+.1f%%\n"
-    burst_pct steady_pct;
-  (match json_path with
-   | None -> ()
-   | Some path ->
-     let oc = open_out path in
-     Printf.fprintf oc "{\n  \"scale\": \"%s\",\n"
-       (if quick then "quick" else "full");
-     Printf.fprintf oc "  \"results\": [\n";
-     List.iteri
-       (fun i (name, ops, wall, eps, wpo, majors) ->
-         Printf.fprintf oc
-           "    {\"name\": %S, \"ops\": %d, \"wall_s\": %.4f, \
-            \"ops_per_sec\": %.1f, \"minor_words_per_op\": %.1f, \
-            \"major_collections\": %d}%s\n"
-           name ops wall eps wpo majors
-           (if i = List.length results - 1 then "" else ","))
-       results;
-     Printf.fprintf oc
-       "  ],\n\
-       \  \"driver_burst_overhead_pct\": %.1f,\n\
-       \  \"loadgen_steady_overhead_pct\": %.1f\n\
-        }\n"
-       burst_pct steady_pct;
-     close_out oc;
-     Printf.printf "# wrote %s\n" path);
-  let failed = ref false in
-  let (_, _, _, _, _, csum_majors) =
-    List.find
-      (fun (name, _, _, _, _, _) -> name = "loadgen-steady-csum")
-      results
-  in
-  if csum_majors <> 0 then begin
-    failed := true;
-    Printf.eprintf
-      "FAIL: checksummed loadgen-steady ran %d major collections (want 0: \
-       digest upkeep must stay allocation-free)\n"
-      csum_majors
-  end;
-  if eps_of "driver-burst-csum" < 0.5 *. eps_of "driver-burst-plain" then begin
-    failed := true;
-    Printf.eprintf
-      "FAIL: checksummed driver burst at %+.1f%% overhead is outside the 2x \
-       gate\n"
-      burst_pct
-  end;
-  if !failed then exit 1
 
 (* --- compact volume ----------------------------------------------------- *)
 
-(* The claims behind the slab-backed image ({!Su_fstypes.Volume}),
-   written to BENCH_volume.json:
+(* The claims behind the slab-backed image ({!Su_fstypes.Volume}):
 
    - volume-mkfs: formatting a paper-disk-scale volume (full: 8 GB /
      512 cylinder groups / 1,048,576 inodes on a widened HP C2447;
@@ -866,7 +708,7 @@ let run_corrupt ~quick ~json_path =
 
    - loadgen-bigvol: the multi-tenant load engine running on that
      volume (full: 120,000 clients; quick: 5,000), same steady-window
-     report as --loadgen. Gate: steady ops executed > 0. Majors and
+     report as --loadgen. Gate: steady ops executed >= 1. Majors and
      words/op are reported, not gated: past the cache's capacity every
      fill decodes fresh records (exactly the copy_cell cost the boxed
      image paid), so eviction churn allocates proportionally to miss
@@ -889,7 +731,7 @@ let volume_geometry ~quick =
   in
   (geom, params)
 
-let run_volume ~quick ~json_path =
+let run_volume ~quick ~jobs:_ =
   let geom, params = volume_geometry ~quick in
   let inodes = Su_fstypes.Geom.total_inodes geom in
   let fs_cfg =
@@ -907,47 +749,32 @@ let run_volume ~quick ~json_path =
      encoded, not the sparse freshly-formatted image. *)
   Gc.full_major ();
   let live0 = (Gc.stat ()).Gc.live_words in
-  let s0 = Gc.quick_stat () in
-  let t0 = Unix.gettimeofday () in
-  let w = Su_fs.Fs.make fs_cfg in
-  let disk = w.Su_fs.Fs.disk in
-  for c = 0 to Su_fstypes.Geom.cg_count geom - 1 do
-    let first, count = Su_fstypes.Geom.cg_inode_area geom c in
-    let fpb = geom.Su_fstypes.Geom.frags_per_block in
-    let blk = ref first in
-    while !blk < first + count do
-      (match Su_disk.Disk.peek disk !blk with
-       | Su_fstypes.Types.Empty ->
-         Su_disk.Disk.install disk !blk
-           (Su_fstypes.Types.Meta (Su_fstypes.Types.fresh_inode_block geom));
-         for i = 1 to fpb - 1 do
-           Su_disk.Disk.install disk (!blk + i) Su_fstypes.Types.Pad
-         done
-       | _ -> ());
-      blk := !blk + fpb
-    done
-  done;
-  let mkfs_wall = Unix.gettimeofday () -. t0 in
-  let s1 = Gc.quick_stat () in
-  let mkfs_wpi =
-    (s1.Gc.minor_words -. s0.Gc.minor_words) /. float_of_int inodes
+  let mkfs, w =
+    measure (fun () ->
+        let w = Su_fs.Fs.make fs_cfg in
+        let disk = w.Su_fs.Fs.disk in
+        for c = 0 to Su_fstypes.Geom.cg_count geom - 1 do
+          let first, count = Su_fstypes.Geom.cg_inode_area geom c in
+          let fpb = geom.Su_fstypes.Geom.frags_per_block in
+          let blk = ref first in
+          while !blk < first + count do
+            (match Su_disk.Disk.peek disk !blk with
+             | Su_fstypes.Types.Empty ->
+               Su_disk.Disk.install disk !blk
+                 (Su_fstypes.Types.Meta (Su_fstypes.Types.fresh_inode_block geom));
+               for i = 1 to fpb - 1 do
+                 Su_disk.Disk.install disk (!blk + i) Su_fstypes.Types.Pad
+               done
+             | _ -> ());
+            blk := !blk + fpb
+          done
+        done;
+        (inodes, w))
   in
   Gc.full_major ();
   let live1 = (Gc.stat ()).Gc.live_words in
-  let bytes_per_inode =
-    float_of_int ((live1 - live0) * 8) /. float_of_int inodes
-  in
-  let st = Su_disk.Disk.image_stats disk in
-  let slab_bpi =
-    float_of_int st.Su_fstypes.Volume.slab_bytes /. float_of_int inodes
-  in
-  Printf.printf
-    "%-30s inodes=%-8d %8.3fs wall %9.1f mwords/inode\n%!"
-    "volume-mkfs" inodes mkfs_wall mkfs_wpi;
-  Printf.printf
-    "%-30s %9.1f bytes/inode resident (%.1f slab) %6d ino-slabs %6d boxed\n%!"
-    "volume-resident" bytes_per_inode slab_bpi
-    st.Su_fstypes.Volume.inode_slabs st.Su_fstypes.Volume.boxed;
+  let st = Su_disk.Disk.image_stats w.Su_fs.Fs.disk in
+  let per_inode x = float_of_int x /. float_of_int inodes in
   Su_fs.Fs.stop w;
   (* the load engine on the big volume *)
   let base = Su_workload.Loadgen.config ~scheme:Su_fs.Fs.Soft_updates () in
@@ -962,94 +789,50 @@ let run_volume ~quick ~json_path =
       files_per_client = 1
     }
   in
-  let r = Su_workload.Loadgen.run lg_cfg in
-  let ops = r.Su_workload.Loadgen.executed in
-  let lg_wall = r.Su_workload.Loadgen.host_wall_s in
-  let lg_eps = if lg_wall > 0.0 then float_of_int ops /. lg_wall else 0.0 in
-  let lg_wpo =
-    r.Su_workload.Loadgen.minor_words /. float_of_int (max 1 ops)
-  in
-  let lg_majors = r.Su_workload.Loadgen.major_collections in
-  Printf.printf
-    "%-30s n=%-6d %8.3fs wall %12.0f ops/s %9.1f mwords/op %3d majors \
-     (%d clients)\n%!"
-    "loadgen-bigvol" ops lg_wall lg_eps lg_wpo lg_majors clients;
-  (match json_path with
-   | None -> ()
-   | Some path ->
-     let oc = open_out path in
-     Printf.fprintf oc "{\n  \"scale\": \"%s\",\n"
-       (if quick then "quick" else "full");
-     Printf.fprintf oc
-       "  \"mkfs\": {\"inodes\": %d, \"wall_s\": %.4f, \
-        \"minor_words_per_inode\": %.2f},\n"
-       inodes mkfs_wall mkfs_wpi;
-     Printf.fprintf oc
-       "  \"resident\": {\"bytes_per_inode\": %.1f, \
-        \"slab_bytes_per_inode\": %.1f, \"inode_slabs\": %d, \
-        \"dir_slabs\": %d, \"indirect_slabs\": %d, \"boxed\": %d},\n"
-       bytes_per_inode slab_bpi st.Su_fstypes.Volume.inode_slabs
-       st.Su_fstypes.Volume.dir_slabs st.Su_fstypes.Volume.indirect_slabs
-       st.Su_fstypes.Volume.boxed;
-     Printf.fprintf oc
-       "  \"loadgen\": {\"clients\": %d, \"ops\": %d, \"wall_s\": %.4f, \
-        \"ops_per_sec\": %.1f, \"minor_words_per_op\": %.1f, \
-        \"major_collections\": %d}\n}\n"
-       clients ops lg_wall lg_eps lg_wpo lg_majors;
-     close_out oc;
-     Printf.printf "# wrote %s\n" path);
-  let failed = ref false in
-  if mkfs_wpi > 64.0 then begin
-    failed := true;
-    Printf.eprintf
-      "FAIL: mkfs allocated %.1f minor words per inode (want <= 64: \
-       formatting must be O(blocks), not O(inodes))\n"
-      mkfs_wpi
-  end;
-  if bytes_per_inode > 192.0 then begin
-    failed := true;
-    Printf.eprintf
-      "FAIL: resident volume costs %.1f bytes per inode (want <= 192)\n"
-      bytes_per_inode
-  end;
-  if ops <= 0 then begin
-    failed := true;
-    Printf.eprintf "FAIL: loadgen-bigvol executed no steady operations\n"
-  end;
-  if !failed then exit 1
+  let lg = loadgen_run (Su_workload.Loadgen.run lg_cfg) in
+  let resident ?gate = record ?gate "volume-resident" "volume" in
+  harness "volume" ~quick [ ("reps", 1) ]
+  @ run_records ~gates:[ ("minor_words_per_inode", Max 64.) ] ~per:"inode"
+      "volume-mkfs" "volume" (mkfs, [])
+  @ [ resident ~gate:(Max 192.) "bytes_per_inode" "B"
+        (per_inode ((live1 - live0) * 8));
+      resident "slab_bytes_per_inode" "B"
+        (per_inode st.Su_fstypes.Volume.slab_bytes);
+      count "volume-resident" "volume" "inode_slabs"
+        st.Su_fstypes.Volume.inode_slabs;
+      count "volume-resident" "volume" "dir_slabs"
+        st.Su_fstypes.Volume.dir_slabs;
+      count "volume-resident" "volume" "indirect_slabs"
+        st.Su_fstypes.Volume.indirect_slabs;
+      count "volume-resident" "volume" "boxed" st.Su_fstypes.Volume.boxed;
+      count "loadgen-bigvol" "loadgen" "clients" clients
+    ]
+  @ run_records ~gates:[ ("ops", Min 1.) ] ~per:"op" "loadgen-bigvol" "loadgen"
+      (lg, [])
 
 (* --- recovery time -------------------------------------------------- *)
 
-(* Recovery wall time against volume size, written to BENCH_fsck.json
-   as flat {bench, layer, metric, value, unit, gate} records. Each size
-   is a soft-updates volume populated by a seeded open-loop Loadgen run
-   and crashed mid-flight; recovery is Fsck.check, Fsck.repair and
+(* Recovery wall time against volume size. Each size is a soft-updates
+   volume populated by a seeded open-loop Loadgen run and crashed
+   mid-flight; recovery is Fsck.check, Fsck.repair and
    Fs.mount_image, each timed (median of [reps]) on a fresh copy of the
-   crashed image. The crashed image must check clean and repair must
-   converge to a clean report (exit 1 otherwise). Gate: check at most
-   3 us per live inode at 1 GB. *)
+   crashed image. Gates: the crashed image checks clean, repair
+   converges to a clean report, and check takes at most 3 us per live
+   inode at 1 GB. *)
 
 let fsck_sizes ~quick = if quick then [ 64 ] else [ 64; 256; 1024 ]
 let fsck_gate_mb = 1024
 let fsck_gate_us_per_inode = 3.0
 
-let run_fsck ~quick ~json_path =
+let run_fsck ~quick ~jobs:_ =
   let reps = if quick then 3 else 5 in
   let median xs =
     let a = Array.of_list xs in
     Array.sort compare a;
     a.(Array.length a / 2)
   in
-  let failed = ref false in
-  let fail fmt =
-    Printf.ksprintf
-      (fun msg ->
-        failed := true;
-        prerr_endline ("FAIL: " ^ msg))
-      fmt
-  in
-  let records =
-    List.concat_map
+  harness "fsck" ~quick [ ("reps", reps) ]
+  @ List.concat_map
       (fun mb ->
         let fs_cfg =
           { (Su_fs.Fs.config ~scheme:Su_fs.Fs.Soft_updates ()) with
@@ -1094,62 +877,69 @@ let run_fsck ~quick ~json_path =
         let repair_s = med (fun (_, _, _, r, _) -> r) in
         let mount_s = med (fun (_, _, _, _, m) -> m) in
         let per_inode t = t *. 1e6 /. float_of_int (max 1 inodes) in
-        Printf.printf
-          "%-30s inodes=%-7d check %7.1fms (%5.2f us/inode)  repair %7.1fms \
-           (%5.2f us/inode)  mount %7.1fms\n%!"
-          (Printf.sprintf "fsck-%dmb" mb)
-          inodes (check_s *. 1e3) (per_inode check_s) (repair_s *. 1e3)
-          (per_inode repair_s) (mount_s *. 1e3);
-        if not (Su_fs.Fsck.ok report) then
-          fail "fsck-%dmb: the crashed soft-updates image has %d violations" mb
-            (List.length report.Su_fs.Fsck.violations);
-        if not (outcome.Su_fs.Fsck.converged && Su_fs.Fsck.ok outcome.Su_fs.Fsck.final)
-        then fail "fsck-%dmb: repair did not converge to a clean image" mb;
-        let gate = if mb = fsck_gate_mb then Some fsck_gate_us_per_inode else None in
-        (match gate with
-         | Some g when per_inode check_s > g ->
-           fail "fsck-%dmb: check takes %.2f us per live inode (gate <= %.1f)" mb
-             (per_inode check_s) g
-         | Some _ | None -> ());
-        let record ?gate layer metric unit value =
-          Su_obs.Json.Obj
-            [ ("bench", Su_obs.Json.Str (Printf.sprintf "fsck-%dmb" mb));
-              ("layer", Su_obs.Json.Str layer);
-              ("metric", Su_obs.Json.Str metric);
-              ("value", Su_obs.Json.Float value);
-              ("unit", Su_obs.Json.Str unit);
-              ( "gate",
-                match gate with
-                | None -> Su_obs.Json.Null
-                | Some g -> Su_obs.Json.Obj [ ("max", Su_obs.Json.Float g) ] )
-            ]
+        let bench = Printf.sprintf "fsck-%dmb" mb in
+        let r ?gate = record ?gate bench in
+        let check_gate =
+          if mb = fsck_gate_mb then Some (Max fsck_gate_us_per_inode) else None
         in
-        [ record "volume" "frags" "count" (float_of_int geom.Su_fstypes.Geom.nfrags);
-          record "volume" "live_inodes" "count" (float_of_int inodes);
-          record "fsck" "check_s" "s" check_s;
-          record ?gate "fsck" "check_us_per_inode" "us" (per_inode check_s);
-          record "fsck" "repair_s" "s" repair_s;
-          record "fsck" "repair_us_per_inode" "us" (per_inode repair_s);
-          record "mount" "mount_image_s" "s" mount_s
+        [ count bench "volume" "frags" geom.Su_fstypes.Geom.nfrags;
+          count bench "volume" "live_inodes" inodes;
+          count ~gate:(Max 0.) bench "fsck" "crash_violations"
+            (List.length report.Su_fs.Fsck.violations);
+          r "fsck" "check_s" "s" check_s;
+          r ?gate:check_gate "fsck" "check_us_per_inode" "us" (per_inode check_s);
+          r "fsck" "repair_s" "s" repair_s;
+          r "fsck" "repair_us_per_inode" "us" (per_inode repair_s);
+          r ~gate:(Min 1.) "fsck" "repair_converged_clean" "bool"
+            (if
+               outcome.Su_fs.Fsck.converged
+               && Su_fs.Fsck.ok outcome.Su_fs.Fsck.final
+             then 1.
+             else 0.);
+          r "mount" "mount_image_s" "s" mount_s
         ])
       (fsck_sizes ~quick)
-  in
-  (match json_path with
-   | None -> ()
-   | Some path ->
-     let oc = open_out path in
-     output_string oc (Su_obs.Json.to_string_pretty (Su_obs.Json.List records));
-     output_char oc '\n';
-     close_out oc;
-     Printf.printf "# wrote %s\n" path);
-  if !failed then exit 1
 
 (* --- main --------------------------------------------------------------- *)
 
+(* In the order a run with several section flags picks the first. *)
+let sections =
+  [ ("--hotpaths", run_hotpaths);
+    ("--crashsweep", run_crashsweep);
+    ("--loadgen", run_loadgen);
+    ("--volume", run_volume);
+    ("--corrupt", run_corrupt);
+    ("--fsck", run_fsck)
+  ]
+
+let flags = [ "--quick"; "--list"; "--help"; "-h" ] @ List.map fst sections
+let valued = [ "--jobs"; "--json"; "--assert-shapes" ]
+
+(* The experiment ids among [args]; exit 2 on an unknown option or an
+   option missing its value. *)
+let rec ids_of = function
+  | [] -> []
+  | opt :: rest when List.mem opt valued ->
+    (match rest with
+     | _ :: rest -> ids_of rest
+     | [] ->
+       Printf.eprintf "option %s needs a value\n" opt;
+       exit 2)
+  | a :: rest when List.mem a flags -> ids_of rest
+  | a :: _ when String.length a > 1 && a.[0] = '-' ->
+    Printf.eprintf "unknown option %S (try --help)\n" a;
+    exit 2
+  | id :: rest -> id :: ids_of rest
+
+let rec value_of opt = function
+  | o :: v :: _ when o = opt -> Some v
+  | _ :: rest -> value_of opt rest
+  | [] -> None
+
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
+  let selected = ids_of args in
   let quick = List.mem "--quick" args in
-  let micro_only = List.mem "--micro" args in
   if List.mem "--help" args || List.mem "-h" args then begin
     usage ();
     exit 0
@@ -1158,39 +948,18 @@ let () =
     List.iter print_endline available;
     exit 0
   end;
-  let rec json_of = function
-    | "--json" :: path :: _ -> Some path
-    | _ :: rest -> json_of rest
-    | [] -> None
-  in
-  let rec jobs_of = function
-    | "--jobs" :: n :: _ ->
+  let json_path = value_of "--json" args in
+  let jobs =
+    match value_of "--jobs" args with
+    | None -> 1
+    | Some n ->
       (match int_of_string_opt n with
        | Some j when j >= 0 -> j
        | Some _ | None ->
          Printf.eprintf "bad --jobs value %S (want an int >= 0)\n" n;
          exit 2)
-    | _ :: rest -> jobs_of rest
-    | [] -> 1
   in
-  let jobs = jobs_of args in
-  let rec min_eps_of = function
-    | "--min-driver-eps" :: n :: _ ->
-      (match float_of_string_opt n with
-       | Some f when f > 0.0 -> Some f
-       | Some _ | None ->
-         Printf.eprintf "bad --min-driver-eps value %S (want a number > 0)\n" n;
-         exit 2)
-    | _ :: rest -> min_eps_of rest
-    | [] -> None
-  in
-  let min_driver_eps = min_eps_of args in
-  let rec assert_shapes_of = function
-    | "--assert-shapes" :: path :: _ -> Some path
-    | _ :: rest -> assert_shapes_of rest
-    | [] -> None
-  in
-  (match assert_shapes_of args with
+  (match value_of "--assert-shapes" args with
    | None -> ()
    | Some path ->
      let doc =
@@ -1226,46 +995,11 @@ let () =
        claims;
      Printf.printf "# %d claims, %d failed\n" (List.length claims) nfail;
      exit (if nfail = 0 then 0 else 1));
-  if micro_only then begin
-    micro ();
-    exit 0
-  end;
-  if List.mem "--hotpaths" args then begin
-    run_hotpaths ~quick ~jobs ~json_path:(json_of args) ~min_driver_eps;
-    exit 0
-  end;
-  if List.mem "--crashsweep" args then begin
-    run_crashsweep ~quick ~jobs ~json_path:(json_of args);
-    exit 0
-  end;
-  if List.mem "--loadgen" args then begin
-    run_loadgen ~quick ~json_path:(json_of args);
-    exit 0
-  end;
-  if List.mem "--volume" args then begin
-    run_volume ~quick ~json_path:(json_of args);
-    exit 0
-  end;
-  if List.mem "--corrupt" args then begin
-    run_corrupt ~quick ~json_path:(json_of args);
-    exit 0
-  end;
-  if List.mem "--fsck" args then begin
-    run_fsck ~quick ~json_path:(json_of args);
-    exit 0
-  end;
-  let selected =
-    let rec drop_opts = function
-      | [] -> []
-      | ("--jobs" | "--json" | "--assert-shapes" | "--min-driver-eps")
-        :: _ :: rest ->
-        drop_opts rest
-      | a :: rest ->
-        if String.length a > 1 && a.[0] = '-' then drop_opts rest
-        else a :: drop_opts rest
-    in
-    drop_opts args
-  in
+  (match List.find_opt (fun (flag, _) -> List.mem flag args) sections with
+   | None -> ()
+   | Some (_, run) ->
+     report ~json_path (run ~quick ~jobs);
+     exit 0);
   (* Fail fast and non-zero on unknown ids, before any experiment
      burns wall clock (scripted runs used to get a stderr line and a
      zero exit). *)
@@ -1309,26 +1043,16 @@ let () =
         print_string text;
         Printf.printf "[%s took %.1fs wall]\n\n%!" id wall)
     rendered;
-  (match json_of args with
-   | None -> ()
-   | Some path ->
-     let entries =
-       Array.to_list rendered
-       |> List.filter_map (fun (id, outcome) ->
-              Option.map (fun (_, tables, wall) -> (id, wall, tables)) outcome)
-     in
-     let doc =
-       Su_experiments.Shapes.experiments_json
-         ~scale:(if quick then "quick" else "full")
-         entries
-     in
-     (try
-        let oc = open_out path in
-        output_string oc (Su_obs.Json.to_string_pretty doc);
-        output_char oc '\n';
-        close_out oc;
-        Printf.printf "# wrote %s\n" path
-      with Sys_error e ->
-        Printf.eprintf "cannot write %s: %s\n" path e;
-        exit 2));
+  Option.iter
+    (fun path ->
+      let entries =
+        Array.to_list rendered
+        |> List.filter_map (fun (id, outcome) ->
+               Option.map (fun (_, tables, wall) -> (id, wall, tables)) outcome)
+      in
+      write_json path
+        (Su_experiments.Shapes.experiments_json
+           ~scale:(if quick then "quick" else "full")
+           entries))
+    json_path;
   Printf.printf "# total wall time: %.1fs\n" (Unix.gettimeofday () -. t_start)

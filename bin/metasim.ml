@@ -540,6 +540,18 @@ let str_col head key f = col ~head ~key (fun r -> Su_obs.Json.Str (f r))
 let scheme_col f =
   str_col "scheme" "scheme" (fun r -> Fs.scheme_kind_name (f r))
 
+(* The injection campaigns' shared counts, [extra] columns sitting
+   between the outcome counts and the violations. *)
+let tally_cols ?(extra = []) (f : _ -> Campaign.tally) =
+  [
+    int_col "swept" "swept" (fun r -> (f r).swept);
+    int_col "completed" "completed" (fun r -> (f r).completed);
+    int_col "typed" "failed_typed" (fun r -> (f r).failed_typed);
+    int_col "escaped" "escaped" (fun r -> (f r).escaped);
+  ]
+  @ extra
+  @ [ int_col "violations" "violations" (fun r -> (f r).violations) ]
+
 (* Run [run scheme item] for every scheme x item, print the table and
    write the JSON document (each row closed by its "ok"); exit 1 if a
    row is not [ok], stopping at the first one with [fail_fast]. *)
@@ -777,20 +789,19 @@ let faultsweep_cmd =
             (%d spares)"
            spares)
       ~columns:
-        [
-          scheme_col (fun s -> s.fs_scheme);
-          str_col "workload" "workload" (fun s -> s.fs_workload);
-          int_col "sectors" "sectors" (fun s -> s.fs_sectors);
-          int_col "swept" "swept" (fun s -> s.fs_swept);
-          int_col "completed" "completed" (fun s -> s.fs_completed);
-          int_col "typed" "failed_typed" (fun s -> s.fs_failed_typed);
-          int_col "escaped" "escaped" (fun s -> s.fs_escaped);
-          int_col "remaps" "remaps" (fun s -> s.fs_remaps);
-          int_col "violations" "violations" (fun s -> s.fs_violations);
-          col ~head:"verdict" (fun s ->
-              Su_obs.Json.Str
-                (if ok s then "survives-or-fails-clean" else "BROKEN *"));
-        ]
+        ([
+           scheme_col (fun s -> s.fs_scheme);
+           str_col "workload" "workload" (fun s -> s.fs_workload);
+           int_col "sectors" "sectors" (fun s -> s.fs_sectors);
+         ]
+        @ tally_cols
+            ~extra:[ int_col "remaps" "remaps" (fun s -> s.fs_remaps) ]
+            (fun s -> s.fs_tally)
+        @ [
+            col ~head:"verdict" (fun s ->
+                Su_obs.Json.Str
+                  (if ok s then "survives-or-fails-clean" else "BROKEN *"));
+          ])
       ~json_head:[ ("spares", Su_obs.Json.Int spares) ]
       ~ok ~fail_fast:opts.fail_fast ?json:opts.json opts.schemes workloads
       (fun scheme wl ->
@@ -841,24 +852,27 @@ let corruptsweep_cmd =
             sector, checksums on (%d spares)"
            spares)
       ~columns:
-        [
-          scheme_col (fun s -> s.cs_scheme);
-          str_col "workload" "workload" (fun s -> s.cs_workload);
-          int_col "reads" "read_sectors" (fun s -> s.cs_read_sectors);
-          int_col "writes" "write_sectors" (fun s -> s.cs_write_sectors);
-          col ~key:"planned" (fun s -> Su_obs.Json.Int s.cs_planned);
-          int_col "swept" "swept" (fun s -> s.cs_swept);
-          int_col "completed" "completed" (fun s -> s.cs_completed);
-          int_col "typed" "failed_typed" (fun s -> s.cs_failed_typed);
-          int_col "escaped" "escaped" (fun s -> s.cs_escaped);
-          int_col "detected" "detected" (fun s -> s.cs_detected);
-          int_col "repaired" "repaired" (fun s -> s.cs_repaired);
-          int_col "silent" "silent_escapes" (fun s -> s.cs_silent_escapes);
-          int_col "violations" "violations" (fun s -> s.cs_violations);
-          col ~head:"verdict" (fun s ->
-              Su_obs.Json.Str
-                (if ok s then "detects-or-fails-clean" else "BROKEN *"));
-        ]
+        ([
+           scheme_col (fun s -> s.cs_scheme);
+           str_col "workload" "workload" (fun s -> s.cs_workload);
+           int_col "reads" "read_sectors" (fun s -> s.cs_read_sectors);
+           int_col "writes" "write_sectors" (fun s -> s.cs_write_sectors);
+           col ~key:"planned" (fun s -> Su_obs.Json.Int s.cs_planned);
+         ]
+        @ tally_cols
+            ~extra:
+              [
+                int_col "detected" "detected" (fun s -> s.cs_detected);
+                int_col "repaired" "repaired" (fun s -> s.cs_repaired);
+                int_col "silent" "silent_escapes" (fun s ->
+                    s.cs_silent_escapes);
+              ]
+            (fun s -> s.cs_tally)
+        @ [
+            col ~head:"verdict" (fun s ->
+                Su_obs.Json.Str
+                  (if ok s then "detects-or-fails-clean" else "BROKEN *"));
+          ])
       ~json_head:[ ("spares", Su_obs.Json.Int spares) ]
       ~ok ~fail_fast:opts.fail_fast ?json:opts.json opts.schemes cases
       (fun scheme (name, ops) ->

@@ -33,13 +33,28 @@ let outcome_name = function
   | Failed_typed _ -> "failed-typed"
   | Escaped _ -> "escaped"
 
-let outcome_counts outcomes =
+type tally = {
+  swept : int;
+  completed : int;
+  failed_typed : int;
+  escaped : int;
+  violations : int;
+}
+
+let tally ~outcome ~clean verdicts =
   List.fold_left
-    (fun (c, f, e) -> function
-      | Completed -> (c + 1, f, e)
-      | Failed_typed _ -> (c, f + 1, e)
-      | Escaped _ -> (c, f, e + 1))
-    (0, 0, 0) outcomes
+    (fun t v ->
+      let t =
+        match outcome v with
+        | Completed -> { t with completed = t.completed + 1 }
+        | Failed_typed _ -> { t with failed_typed = t.failed_typed + 1 }
+        | Escaped _ -> { t with escaped = t.escaped + 1 }
+      in
+      { t with
+        swept = t.swept + 1;
+        violations = (if clean v then t.violations else t.violations + 1) })
+    { swept = 0; completed = 0; failed_typed = 0; escaped = 0; violations = 0 }
+    verdicts
 
 let rec typed_failure = function
   | Proc.Process_failure (_, e) -> typed_failure e

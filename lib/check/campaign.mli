@@ -33,8 +33,16 @@ type outcome =
 
 val outcome_name : outcome -> string
 
-val outcome_counts : outcome list -> int * int * int
-(** [(completed, failed_typed, escaped)]. *)
+(** What a campaign's verdict list adds up to. *)
+type tally = {
+  swept : int;  (** verdicts: injections actually run (caps, fail-fast) *)
+  completed : int;
+  failed_typed : int;
+  escaped : int;
+  violations : int;  (** verdicts [clean] rejects *)
+}
+
+val tally : outcome:('v -> outcome) -> clean:('v -> bool) -> 'v list -> tally
 
 val typed_failure : exn -> string option
 (** [Some message] for the typed errors a run may legally stop with,

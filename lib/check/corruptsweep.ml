@@ -160,18 +160,16 @@ type summary = {
   cs_read_sectors : int;  (** distinct read-touched sectors *)
   cs_write_sectors : int;  (** distinct write-touched sectors *)
   cs_planned : int;  (** injections in the full plan *)
-  cs_swept : int;  (** injections actually run (caps, fail-fast) *)
-  cs_completed : int;
-  cs_failed_typed : int;
-  cs_escaped : int;
+  cs_tally : Campaign.tally;
   cs_detected : int;  (** checksum mismatches observed across runs *)
   cs_repaired : int;  (** fragments healed online across runs *)
   cs_silent_escapes : int;  (** Completed-but-diverged verdicts *)
-  cs_violations : int;  (** verdicts breaking detect-or-fail-clean *)
   cs_verdicts : verdict list;  (** per-injection detail, plan order *)
 }
 
-let ok s = s.cs_escaped = 0 && s.cs_silent_escapes = 0 && s.cs_violations = 0
+let ok s =
+  s.cs_tally.escaped = 0 && s.cs_silent_escapes = 0
+  && s.cs_tally.violations = 0
 
 let sweep ?jobs ?(spares = 64) ?max_injections ?fail_fast ~cfg ~oracle wl =
   let reads, writes = touched_sectors ~cfg wl in
@@ -183,22 +181,16 @@ let sweep ?jobs ?(spares = 64) ?max_injections ?fail_fast ~cfg ~oracle wl =
   in
   let count p = List.length (List.filter p verdicts) in
   let sum f = List.fold_left (fun a v -> a + f v) 0 verdicts in
-  let completed, failed_typed, escaped =
-    Campaign.outcome_counts (List.map (fun v -> v.cv_outcome) verdicts)
-  in
   {
     cs_scheme = cfg.Fs.scheme;
     cs_workload = wl.Explorer.wl_name;
     cs_read_sectors = Array.length reads;
     cs_write_sectors = Array.length writes;
     cs_planned = Array.length injections;
-    cs_swept = List.length verdicts;
-    cs_completed = completed;
-    cs_failed_typed = failed_typed;
-    cs_escaped = escaped;
+    cs_tally =
+      Campaign.tally ~outcome:(fun v -> v.cv_outcome) ~clean:cv_clean verdicts;
     cs_detected = sum (fun v -> v.cv_detected);
     cs_repaired = sum (fun v -> v.cv_repaired);
     cs_silent_escapes = count cv_silent_escape;
-    cs_violations = count (fun v -> not (cv_clean v));
     cs_verdicts = verdicts;
   }

@@ -82,14 +82,10 @@ type summary = {
   cs_read_sectors : int;
   cs_write_sectors : int;
   cs_planned : int;
-  cs_swept : int;
-  cs_completed : int;
-  cs_failed_typed : int;
-  cs_escaped : int;
+  cs_tally : Campaign.tally;
   cs_detected : int;
   cs_repaired : int;
   cs_silent_escapes : int;
-  cs_violations : int;
   cs_verdicts : verdict list;
 }
 

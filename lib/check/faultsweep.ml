@@ -49,16 +49,12 @@ type summary = {
   fs_scheme : Fs.scheme_kind;
   fs_workload : string;
   fs_sectors : int;
-  fs_swept : int;
-  fs_completed : int;
-  fs_failed_typed : int;
-  fs_escaped : int;
+  fs_tally : Campaign.tally;
   fs_remaps : int;
-  fs_violations : int;
   fs_verdicts : verdict list;
 }
 
-let ok s = s.fs_escaped = 0 && s.fs_violations = 0
+let ok s = s.fs_tally.escaped = 0 && s.fs_tally.violations = 0
 
 let sweep ?jobs ?(spares = 64) ?max_sectors ?fail_fast ~cfg wl =
   let sectors = touched_sectors ~cfg wl in
@@ -67,19 +63,12 @@ let sweep ?jobs ?(spares = 64) ?max_sectors ?fail_fast ~cfg wl =
       ~init:ignore (Array.length sectors) (fun () i ->
         run_one ~cfg ~spares wl sectors.(i))
   in
-  let completed, failed_typed, escaped =
-    Campaign.outcome_counts (List.map (fun v -> v.fv_outcome) verdicts)
-  in
   {
     fs_scheme = cfg.Fs.scheme;
     fs_workload = wl.Explorer.wl_name;
     fs_sectors = Array.length sectors;
-    fs_swept = List.length verdicts;
-    fs_completed = completed;
-    fs_failed_typed = failed_typed;
-    fs_escaped = escaped;
+    fs_tally =
+      Campaign.tally ~outcome:(fun v -> v.fv_outcome) ~clean:fv_clean verdicts;
     fs_remaps = List.fold_left (fun a v -> a + v.fv_remaps) 0 verdicts;
-    fs_violations =
-      List.length (List.filter (fun v -> not (fv_clean v)) verdicts);
     fs_verdicts = verdicts;
   }

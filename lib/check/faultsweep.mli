@@ -43,12 +43,10 @@ type summary = {
   fs_scheme : Su_fs.Fs.scheme_kind;
   fs_workload : string;
   fs_sectors : int;  (** distinct sectors the workload touches *)
-  fs_swept : int;  (** sectors actually injected (caps, fail-fast) *)
-  fs_completed : int;
-  fs_failed_typed : int;
-  fs_escaped : int;
+  fs_tally : Campaign.tally;
+      (** one swept verdict per sector injected; a violation breaks
+          survive-or-fail-clean *)
   fs_remaps : int;  (** remaps performed across all runs *)
-  fs_violations : int;  (** verdicts breaking survive-or-fail-clean *)
   fs_verdicts : verdict list;  (** per-sector detail, ascending sector *)
 }
 

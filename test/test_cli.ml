@@ -64,6 +64,78 @@ let test_bench_unknown_experiment () =
   check_exit "bench unknown id exits non-zero" 2
     (sh "%s nosuchexp >/dev/null 2>&1" benchexe)
 
+let test_bench_unknown_option () =
+  (* regression: options were dropped unread, so this typo ran fig1
+     and exited 0 *)
+  check_exit "misspelled flag exits 2" 2
+    (sh "%s --hotpath --quick fig1 >/dev/null 2>&1" benchexe);
+  check_exit "removed --micro exits 2" 2
+    (sh "%s --micro --list >/dev/null 2>&1" benchexe);
+  check_exit "removed --min-driver-eps exits 2" 2
+    (sh "%s --hotpaths --quick --min-driver-eps 20000 >/dev/null 2>&1"
+       benchexe);
+  check_exit "--json without a path exits 2" 2
+    (sh "%s --hotpaths --quick --json >/dev/null 2>&1" benchexe)
+
+(* Every perf section writes one record schema; --hotpaths is the
+   cheapest section to pin it on. *)
+let test_bench_records_schema () =
+  let tmp = Filename.temp_file "hotpaths" ".json" in
+  check_exit "quick hot paths pass their gates" 0
+    (sh "%s --hotpaths --quick --json %s >/dev/null 2>&1" benchexe
+       (Filename.quote tmp));
+  let doc =
+    match Json.parse (read_file tmp) with
+    | Ok d -> d
+    | Error e -> Alcotest.failf "records JSON does not parse: %s" e
+  in
+  Sys.remove tmp;
+  let records =
+    match Json.to_list doc with
+    | Some l -> l
+    | None -> Alcotest.fail "the document is not a list"
+  in
+  List.iter
+    (fun r ->
+      let keys =
+        match r with
+        | Json.Obj fields -> List.map fst fields
+        | _ -> Alcotest.fail "a record is not an object"
+      in
+      Alcotest.(check (list string)) "the six keys"
+        [ "bench"; "layer"; "metric"; "value"; "unit"; "gate" ] keys;
+      (match Option.bind (Json.member "value" r) Json.to_float with
+       | Some v when Float.is_finite v -> ()
+       | _ -> Alcotest.fail "value is not a finite number");
+      match Json.get "gate" r with
+      | Json.Null -> ()
+      | Json.Obj [ (("min" | "max"), b) ] when Json.to_float b <> None -> ()
+      | g -> Alcotest.failf "bad gate %s" (Json.to_string g))
+    records;
+  let str key r = Option.bind (Json.member key r) Json.to_str in
+  let bursts =
+    List.sort_uniq compare
+      (List.filter_map
+         (fun r ->
+           match str "bench" r with
+           | Some b when String.starts_with ~prefix:"driver-burst-" b -> Some b
+           | _ -> None)
+         records)
+  in
+  Alcotest.(check bool) "driver bursts recorded" true (bursts <> []);
+  List.iter
+    (fun b ->
+      Alcotest.(check bool)
+        (b ^ " has a gated events/s record")
+        true
+        (List.exists
+           (fun r ->
+             str "bench" r = Some b
+             && str "metric" r = Some "events_per_sec"
+             && Json.get "gate" r <> Json.Null)
+           records))
+    bursts
+
 let test_bench_assert_shapes_bad_input () =
   let tmp = Filename.temp_file "shapes" ".json" in
   let oc = open_out tmp in
@@ -269,6 +341,10 @@ let suite =
       test_crashsweep_demand_consistent;
     Alcotest.test_case "bench: unknown experiment id" `Quick
       test_bench_unknown_experiment;
+    Alcotest.test_case "bench: unknown or removed option" `Quick
+      test_bench_unknown_option;
+    Alcotest.test_case "bench: perf records schema" `Quick
+      test_bench_records_schema;
     Alcotest.test_case "bench: --assert-shapes bad input" `Quick
       test_bench_assert_shapes_bad_input;
     Alcotest.test_case "bench: --assert-shapes verdicts" `Quick

@@ -20,13 +20,13 @@ let test_sweep_survives_or_fails_clean () =
     Faultsweep.sweep ~jobs:1 ~spares:8 ~max_sectors:10 ~cfg:(compact_cfg ()) wl
   in
   Alcotest.(check bool) "campaign passes" true (Faultsweep.ok s);
-  Alcotest.(check int) "capped sector count" 10 s.Faultsweep.fs_swept;
+  let t = s.Faultsweep.fs_tally in
+  Alcotest.(check int) "capped sector count" 10 t.Campaign.swept;
   Alcotest.(check bool) "touched set is larger" true
     (s.Faultsweep.fs_sectors > 10);
-  Alcotest.(check int) "no escapes" 0 s.Faultsweep.fs_escaped;
-  Alcotest.(check int) "every run accounted" s.Faultsweep.fs_swept
-    (s.Faultsweep.fs_completed + s.Faultsweep.fs_failed_typed
-     + s.Faultsweep.fs_escaped)
+  Alcotest.(check int) "no escapes" 0 t.Campaign.escaped;
+  Alcotest.(check int) "every run accounted" t.Campaign.swept
+    (t.Campaign.completed + t.Campaign.failed_typed + t.Campaign.escaped)
 
 let test_sweep_deterministic_across_jobs () =
   let wl = Option.get (Explorer.find_workload "renamefile") in

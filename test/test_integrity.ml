@@ -189,7 +189,7 @@ let test_corruptsweep_soft_updates () =
     (Su_check.Corruptsweep.ok s);
   Alcotest.(check int) "no silent escapes" 0
     s.Su_check.Corruptsweep.cs_silent_escapes;
-  Alcotest.(check int) "all injections swept" 24 s.Su_check.Corruptsweep.cs_swept;
+  Alcotest.(check int) "all injections swept" 24 s.Su_check.Corruptsweep.cs_tally.Su_check.Campaign.swept;
   Alcotest.(check bool) "corruption was detected" true
     (s.Su_check.Corruptsweep.cs_detected > 0)
 
